@@ -9,6 +9,10 @@ dune build
 dune runtest
 dune build @fmt
 
+# The committed BENCH_*.json baselines must come out of the run untouched:
+# every artifact below goes to the scratch dir.  Checked at the end.
+bench_sums=$(cksum BENCH_*.json)
+
 # Chaos smoke: scenario 1 under a fixed-seed fault schedule must terminate
 # and export non-empty fault metrics.
 metrics=$(mktemp)
@@ -35,7 +39,8 @@ fi
 
 # Resolution smoke: the scaled resolution-core workloads once, with the
 # engine's answer sets diffed against the map-based reference engine.
-./_build/default/bench/main.exe resolution --smoke > /dev/null
+./_build/default/bench/main.exe resolution --smoke \
+  --metrics-dir "$bench_dir" > /dev/null
 
 # Adversary smoke: scenario 1 with misbehaving peers and guards on; the
 # bench hard-fails if an honest negotiation is lost, a flooding/malformed
@@ -129,4 +134,9 @@ if [ "${CHECK_SLOW:-0}" != "0" ]; then
     "$bench_dir/BENCH_recursion.json"
   ./_build/default/bench/main.exe diff --against-seed crash \
     "$bench_dir/BENCH_crash.json"
+fi
+
+if [ "$(cksum BENCH_*.json)" != "$bench_sums" ]; then
+  echo "check: the run rewrote a committed BENCH_*.json baseline" >&2
+  exit 1
 fi

@@ -95,16 +95,13 @@ let measure_inner session run =
   let msgs0 = Net.Stats.messages stats in
   let bytes0 = Net.Stats.bytes stats in
   let t0 = Net.Clock.now clock in
-  let log0 = List.length (Net.Network.transcript net) in
+  let log0 = Net.Network.logged net in
   let outcome =
     try run () with
     | Net.Network.Budget_exhausted -> Denied "message budget exhausted"
     | Net.Network.Unreachable peer -> Denied ("peer unreachable: " ^ peer)
   in
-  let transcript =
-    let all = Net.Network.transcript net in
-    List.filteri (fun i _ -> i >= log0) all
-  in
+  let transcript = Net.Network.transcript_since net log0 in
   {
     outcome;
     messages = Net.Stats.messages stats - msgs0;

@@ -1,23 +1,7 @@
 module Crypto = Peertrust_crypto
+module Hex = Peertrust_obs.Hex
 
 type error = Bad_world of string
-
-let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
-
-let string_of_hex h =
-  if String.length h mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init
-           (String.length h / 2)
-           (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
-    with Failure _ | Invalid_argument _ -> None
 
 (* Crash-atomic: a reader never observes a half-written file.  The
    contents land in a sibling temp file first; the final [Sys.rename]
@@ -53,7 +37,8 @@ let save session ~dir =
   Buffer.add_char meta '\n';
   List.iteri
     (fun i (name, (peer : Peer.t)) ->
-      Buffer.add_string meta (Printf.sprintf "peer: %d %s\n" i (hex_of_string name));
+      Buffer.add_string meta
+        (Printf.sprintf "peer: %d %s\n" i (Hex.encode name));
       write_file
         (Filename.concat dir (Printf.sprintf "peer%d.pt" i))
         (Peertrust_dlp.Program.to_string (Peertrust_dlp.Kb.rules peer.Peer.kb));
@@ -95,7 +80,7 @@ let load ?config ?seed ~dir () =
                 let name_hex =
                   String.sub payload (i + 1) (String.length payload - i - 1)
                 in
-                match (int_of_string_opt idx, string_of_hex name_hex) with
+                match (int_of_string_opt idx, Hex.decode name_hex) with
                 | Some idx, Some name -> Ok (Some (idx, name))
                 | _, _ -> err ("bad index line: " ^ line))
           end
@@ -178,41 +163,48 @@ module Journal = struct
     | Goal of { id : int; target : string; goal : Dlp.Literal.t }
     | Done of { id : int }
 
-  type sink = Disk of string | Memory of Buffer.t
-  type t = { sink : sink; mutable appends : int }
+  (* A memory sink keeps the typed entries beside the bytes (newest
+     first), so reading it back never re-parses. *)
+  type sink = Disk of string | Memory of Buffer.t * entry list ref
 
-  let in_memory () = { sink = Memory (Buffer.create 256); appends = 0 }
-  let on_disk path = { sink = Disk path; appends = 0 }
+  type t = {
+    sink : sink;
+    mutable appends : int;
+    mutable settled : int;  (* Done entries in the journal *)
+  }
 
-  let for_peer ~dir ~peer =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    on_disk (Filename.concat dir (hex_of_string peer ^ ".journal"))
+  let count_done =
+    List.fold_left (fun n -> function Done _ -> n + 1 | _ -> n) 0
+
+  let in_memory () =
+    { sink = Memory (Buffer.create 256, ref []); appends = 0; settled = 0 }
 
   let appends t = t.appends
+  let settled t = t.settled
 
   (* One line per entry; every free-form field (peer names, literal
      text) is hex-armoured so newlines and spaces in the payload cannot
      break the line discipline the torn-tail recovery depends on. *)
   let line_of_entry = function
-    | Cert c -> "cert " ^ hex_of_string (Crypto.Wire.encode c)
-    | Fact r -> "fact " ^ hex_of_string (Dlp.Rule.to_string r)
+    | Cert c -> "cert " ^ Hex.encode (Crypto.Wire.encode c)
+    | Fact r -> "fact " ^ Hex.encode (Dlp.Rule.to_string r)
     | Answer { owner; goal; instances } ->
-        Printf.sprintf "answer %s %s %s" (hex_of_string owner)
-          (hex_of_string (Dlp.Literal.to_string goal))
+        Printf.sprintf "answer %s %s %s" (Hex.encode owner)
+          (Hex.encode (Dlp.Literal.to_string goal))
           (match instances with
           | [] -> "-"
           | is ->
               String.concat ","
                 (List.map
-                   (fun i -> hex_of_string (Dlp.Literal.to_string i))
+                   (fun i -> Hex.encode (Dlp.Literal.to_string i))
                    is))
     | Goal { id; target; goal } ->
-        Printf.sprintf "goal %d %s %s" id (hex_of_string target)
-          (hex_of_string (Dlp.Literal.to_string goal))
+        Printf.sprintf "goal %d %s %s" id (Hex.encode target)
+          (Hex.encode (Dlp.Literal.to_string goal))
     | Done { id } -> Printf.sprintf "done %d" id
 
   let literal_of_hex h =
-    match string_of_hex h with
+    match Hex.decode h with
     | None -> Error "bad hex"
     | Some s -> (
         match Dlp.Parser.parse_literal s with
@@ -224,14 +216,14 @@ module Journal = struct
     let ( let* ) = Result.bind in
     match String.split_on_char ' ' line with
     | [ "cert"; hex ] -> (
-        match string_of_hex hex with
+        match Hex.decode hex with
         | None -> Error "cert: bad hex"
         | Some blob -> (
             match Crypto.Wire.decode blob with
             | Ok c -> Ok (Cert c)
             | Error (Crypto.Wire.Malformed m) -> Error ("cert: " ^ m)))
     | [ "fact"; hex ] -> (
-        match string_of_hex hex with
+        match Hex.decode hex with
         | None -> Error "fact: bad hex"
         | Some text -> (
             match Dlp.Parser.parse_rule text with
@@ -239,7 +231,7 @@ module Journal = struct
             | exception Dlp.Parser.Error (m, _, _) -> Error ("fact: " ^ m)
             | exception _ -> Error "fact: unparseable rule"))
     | [ "answer"; owner_hex; goal_hex; insts ] -> (
-        match string_of_hex owner_hex with
+        match Hex.decode owner_hex with
         | None -> Error "answer: bad owner hex"
         | Some owner ->
             let* goal =
@@ -262,7 +254,7 @@ module Journal = struct
             in
             Ok (Answer { owner; goal; instances }))
     | [ "goal"; id; target_hex; goal_hex ] -> (
-        match (int_of_string_opt id, string_of_hex target_hex) with
+        match (int_of_string_opt id, Hex.decode target_hex) with
         | Some id, Some target ->
             let* goal =
               Result.map_error (fun m -> "goal: " ^ m)
@@ -302,10 +294,28 @@ module Journal = struct
     in
     go [] 1 complete
 
+  (* Resuming a journal an earlier process left behind is the one time
+     a disk sink is parsed to learn its settled count. *)
+  let on_disk path =
+    let settled =
+      if not (Sys.file_exists path) then 0
+      else
+        match parse (read_file path) with
+        | Ok es -> count_done es
+        | Error _ | (exception Sys_error _) -> 0
+    in
+    { sink = Disk path; appends = 0; settled }
+
+  let for_peer ~dir ~peer =
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    on_disk (Filename.concat dir (Hex.encode peer ^ ".journal"))
+
   let append t entry =
     let line = line_of_entry entry ^ "\n" in
     (match t.sink with
-    | Memory b -> Buffer.add_string b line
+    | Memory (b, typed) ->
+        Buffer.add_string b line;
+        typed := entry :: !typed
     | Disk path ->
         let oc =
           open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
@@ -315,26 +325,76 @@ module Journal = struct
           (fun () ->
             output_string oc line;
             flush oc));
+    (match entry with Done _ -> t.settled <- t.settled + 1 | _ -> ());
     t.appends <- t.appends + 1
 
   let contents t =
     match t.sink with
-    | Memory b -> Buffer.contents b
+    | Memory (b, _) -> Buffer.contents b
     | Disk path -> if Sys.file_exists path then read_file path else ""
 
-  let entries t = parse (contents t)
+  let entries t =
+    match t.sink with
+    | Memory (_, typed) -> Ok (List.rev !typed)
+    | Disk _ -> parse (contents t)
+
+  let write_lines t entries lines =
+    (match t.sink with
+    | Memory (b, typed) ->
+        Buffer.clear b;
+        List.iter (Buffer.add_string b) lines;
+        typed := List.rev entries
+    | Disk path -> write_file path (String.concat "" lines));
+    t.settled <- count_done entries
 
   let rewrite t entries =
-    let text =
-      String.concat "" (List.map (fun e -> line_of_entry e ^ "\n") entries)
-    in
-    match t.sink with
-    | Memory b ->
-        Buffer.clear b;
-        Buffer.add_string b text
-    | Disk path -> write_file path text
+    write_lines t entries (List.map (fun e -> line_of_entry e ^ "\n") entries)
 
   let reset t = rewrite t []
+
+  (* Drop the Goal/Done pairs of settled roots and every repeated entry
+     (first occurrence kept).  Entries are deduplicated by their line:
+     printing is canonical, so equal lines are equal entries. *)
+  let compact ~after t =
+    if t.settled < after then None
+    else
+      match entries t with
+      | Error _ -> None
+      | Ok es ->
+          let finished = Hashtbl.create 16 in
+          List.iter
+            (function Done { id } -> Hashtbl.replace finished id () | _ -> ())
+            es;
+          (* A disk file may hold fewer intact Done lines than were
+             appended (a torn tail): decide on what parses. *)
+          let settled = count_done es in
+          if settled < after then begin
+            t.settled <- settled;
+            None
+          end
+          else
+            let live =
+              List.filter
+                (function
+                  | Done { id } | Goal { id; _ } ->
+                      not (Hashtbl.mem finished id)
+                  | Cert _ | Fact _ | Answer _ -> true)
+                es
+            in
+            let seen = Hashtbl.create 64 in
+            let kept =
+              List.filter_map
+                (fun e ->
+                  let line = line_of_entry e ^ "\n" in
+                  if Hashtbl.mem seen line then None
+                  else begin
+                    Hashtbl.add seen line ();
+                    Some (e, line)
+                  end)
+                live
+            in
+            write_lines t (List.map fst kept) (List.map snd kept);
+            Some (List.length live)
 
   let replay_peer peer entries =
     List.iter

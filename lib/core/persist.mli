@@ -81,10 +81,12 @@ module Journal : sig
       a crash can tear at most the line being written). *)
 
   val entries : t -> (entry list, error) result
-  (** Parse the journal back.  Torn-tail tolerant: the trailing
-      unterminated or unparseable last line is dropped ([Ok] of the
-      usable prefix); damage on an earlier line is a line-numbered
-      [Bad_world].  Never raises. *)
+  (** The journal's entries in append order.  A memory sink returns the
+      entries it holds without re-parsing (they equal
+      [parse (contents t)]).  A disk sink is parsed back, torn-tail
+      tolerant: the trailing unterminated or unparseable last line is
+      dropped ([Ok] of the usable prefix); damage on an earlier line is
+      a line-numbered [Bad_world].  Never raises. *)
 
   val parse : string -> (entry list, error) result
   (** {!entries} over raw text (exposed for durability tests). *)
@@ -98,6 +100,21 @@ module Journal : sig
 
   val reset : t -> unit
   (** [rewrite t []]. *)
+
+  val settled : t -> int
+  (** [Done] entries in the journal, kept as entries are appended and
+      rewritten (a disk journal resumed from an earlier process is
+      parsed once, at {!on_disk}, to learn it). *)
+
+  val compact : after:int -> t -> int option
+  (** Checkpoint compaction once at least [after] roots have settled:
+      rewrite the journal without the [Goal]/[Done] pairs of settled
+      roots and without repeated entries (the first occurrence stays).
+      Returns the entries that survived the pair removal, before
+      deduplication; [None] — journal untouched — below the threshold
+      or when a disk journal does not parse.  The check is a counter
+      read: nothing is parsed unless the journal is actually
+      compacted. *)
 
   val appends : t -> int
   (** Appends since creation (feeds the [reactor.checkpoints]

@@ -86,6 +86,7 @@ type parked = {
   pk_goal : Literal.t;
   mutable pk_waiting : (string * string) list;  (* (target, goal key) *)
   pk_request : int option;  (* top-level request id *)
+  pk_seq : int;  (* stamp when parked: identity and park order *)
 }
 
 (* Retransmission state of one outstanding sub-query. *)
@@ -145,7 +146,18 @@ type t = {
   answers : (string * string * string, Engine.instance list) Hashtbl.t;
   (* (peer, target, goal key) -> reason of the last Deny *)
   denials : (string * string * string, string) Hashtbl.t;
-  mutable parked : parked list;
+  (* -------- parked goals, indexed by what can wake them -------- *)
+  parked : (string, (int, parked) Hashtbl.t) Hashtbl.t;
+  (* peer -> its parked goals, by [pk_seq] *)
+  waiters : (string * string * string, (int, parked) Hashtbl.t) Hashtbl.t;
+  (* (peer, target, goal key) -> the goals parked there waiting on it *)
+  mutable parked_n : int;
+  mutable stamp : int;  (* orders parks, wakes and quiescence breaks *)
+  woken : (string, int) Hashtbl.t;  (* peer -> stamp of its last wake *)
+  mutable last_break : int;  (* stamp of the last quiescence break *)
+  unwoken : (string, (string * string * string) list) Hashtbl.t;
+  (* peer -> its keys resolved without a wake (deadline withdrawals);
+     their waiters join the peer's next wake *)
   results : (int, Negotiation.outcome) Hashtbl.t;
   mutable next_request : int;
   mutable budget_hit : bool;
@@ -230,7 +242,13 @@ let create ?(config = default_config) session =
       pending = Hashtbl.create 64;
       answers = Hashtbl.create 64;
       denials = Hashtbl.create 16;
-      parked = [];
+      parked = Hashtbl.create 16;
+      waiters = Hashtbl.create 64;
+      parked_n = 0;
+      stamp = 0;
+      woken = Hashtbl.create 16;
+      last_break = 0;
+      unwoken = Hashtbl.create 4;
       results = Hashtbl.create 8;
       next_request = 1;
       budget_hit = false;
@@ -582,37 +600,12 @@ let maybe_compact t owner =
   match journal_of t owner with
   | None -> ()
   | Some j -> (
-      match Persist.Journal.entries j with
-      | Error _ -> ()
-      | Ok entries ->
-          let finished =
-            List.filter_map
-              (function Persist.Journal.Done { id } -> Some id | _ -> None)
-              entries
-          in
-          if List.length finished >= compact_after then begin
-            let live =
-              List.filter
-                (function
-                  | Persist.Journal.Done { id } | Persist.Journal.Goal { id; _ }
-                    ->
-                      not (List.mem id finished)
-                  | Persist.Journal.Cert _ | Persist.Journal.Fact _
-                  | Persist.Journal.Answer _ ->
-                      true)
-                entries
-            in
-            let rec dedup acc = function
-              | [] -> List.rev acc
-              | e :: rest ->
-                  if List.mem e acc then dedup acc rest
-                  else dedup (e :: acc) rest
-            in
-            Persist.Journal.rewrite j (dedup [] live);
-            Otracer.event (Obs.tracer ())
-              (Printf.sprintf "reactor.compact %s journal -> %d entries" owner
-                 (List.length live))
-          end)
+      match Persist.Journal.compact ~after:compact_after j with
+      | None -> ()
+      | Some live ->
+          Otracer.event (Obs.tracer ())
+            (Printf.sprintf "reactor.compact %s journal -> %d entries" owner
+               live))
 
 let settle_request t id outcome =
   if not (Hashtbl.mem t.results id) then begin
@@ -642,7 +635,101 @@ let denial_reason t ~target pkey =
       reason
   | Some _ | None -> "denied by target"
 
-(* Try to settle one parked goal; [true] when it is resolved. *)
+(* ------------------------------------------------------------------ *)
+(* Parked goals.  Each one sits in its peer's table and, for every
+   sub-query it awaits, in that key's waiter table; a delivery that
+   resolves a key wakes just the key's waiters.
+
+   Every wake stamps the peer, and the order the goals are retried and
+   broken in is a function of those stamps: within a peer, goals parked
+   since the last quiescence break come first, newest first; older ones
+   follow as the break left them, non-root goals before roots, newest
+   first within each.  Across peers, the goal parked or woken most
+   recently comes first. *)
+
+let next_stamp t =
+  t.stamp <- t.stamp + 1;
+  t.stamp
+
+let peer_table t name =
+  match Hashtbl.find_opt t.parked name with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Hashtbl.create 8 in
+      Hashtbl.replace t.parked name tbl;
+      tbl
+
+let goals_of tbl = Hashtbl.fold (fun _ p acc -> p :: acc) tbl []
+
+let parked_at t name =
+  match Hashtbl.find_opt t.parked name with
+  | Some tbl -> goals_of tbl
+  | None -> []
+
+let all_parked t =
+  Hashtbl.fold (fun _ tbl acc -> Hashtbl.fold (fun _ p a -> p :: a) tbl acc)
+    t.parked []
+
+(* Retry order within one peer (ascending). *)
+let peer_rank t p =
+  if p.pk_seq > t.last_break then (0, -p.pk_seq)
+  else ((if p.pk_request = None then 1 else 2), -p.pk_seq)
+
+let in_peer_order t ps =
+  List.sort_uniq (fun a b -> compare (peer_rank t a) (peer_rank t b)) ps
+
+(* Recency across peers (descending): park or last wake, whichever is
+   later, ties within a peer to the newer goal. *)
+let recency t p =
+  let woken = Option.value ~default:0 (Hashtbl.find_opt t.woken p.pk_peer) in
+  (max p.pk_seq woken, p.pk_seq)
+
+let register t p =
+  List.iter
+    (fun (target, key) ->
+      let pkey = (p.pk_peer, target, key) in
+      let tbl =
+        match Hashtbl.find_opt t.waiters pkey with
+        | Some tbl -> tbl
+        | None ->
+            let tbl = Hashtbl.create 2 in
+            Hashtbl.replace t.waiters pkey tbl;
+            tbl
+      in
+      Hashtbl.replace tbl p.pk_seq p)
+    p.pk_waiting
+
+let unregister t p =
+  List.iter
+    (fun (target, key) ->
+      let pkey = (p.pk_peer, target, key) in
+      match Hashtbl.find_opt t.waiters pkey with
+      | Some tbl ->
+          Hashtbl.remove tbl p.pk_seq;
+          if Hashtbl.length tbl = 0 then Hashtbl.remove t.waiters pkey
+      | None -> ())
+    p.pk_waiting
+
+let park t p =
+  Hashtbl.replace (peer_table t p.pk_peer) p.pk_seq p;
+  register t p;
+  t.parked_n <- t.parked_n + 1
+
+let unpark t p =
+  match Hashtbl.find_opt t.parked p.pk_peer with
+  | Some tbl when Hashtbl.mem tbl p.pk_seq ->
+      Hashtbl.remove tbl p.pk_seq;
+      unregister t p;
+      t.parked_n <- t.parked_n - 1
+  | Some _ | None -> ()
+
+let waiters_of t pkey =
+  match Hashtbl.find_opt t.waiters pkey with
+  | Some tbl -> goals_of tbl
+  | None -> []
+
+(* Try to settle one parked goal; [true] when it is resolved.  A goal
+   that stays parked is re-registered under what it now awaits. *)
 let try_settle t p =
   let peer = Session.peer t.session p.pk_peer in
   match p.pk_request with
@@ -668,15 +755,33 @@ let try_settle t p =
       match evaluate_goal t peer ~requester:p.pk_requester p.pk_goal ~respond with
       | `Settled -> true
       | `Parked waiting ->
+          unregister t p;
           p.pk_waiting <- waiting;
+          register t p;
           false)
 
-let reevaluate t peer_name =
-  let mine, others =
-    List.partition (fun p -> String.equal p.pk_peer peer_name) t.parked
+(* A delivery to [peer_name] can unblock goals parked there: an answer
+   or denial for [`Key pkey] unblocks the goals waiting on that key; a
+   disclosure ([`All]) adds knowledge without resolving any key, so it
+   retries every goal parked at the peer.  Keys resolved without a wake
+   since the last one join in. *)
+let wake t peer_name scope =
+  Hashtbl.replace t.woken peer_name (next_stamp t);
+  let due =
+    match scope with
+    | `Key pkey -> waiters_of t pkey
+    | `All -> parked_at t peer_name
   in
-  let still = List.filter (fun p -> not (try_settle t p)) mine in
-  t.parked <- still @ others
+  let due =
+    match Hashtbl.find_opt t.unwoken peer_name with
+    | None -> due
+    | Some keys ->
+        Hashtbl.remove t.unwoken peer_name;
+        List.concat_map (waiters_of t) keys @ due
+  in
+  List.iter
+    (fun p -> if try_settle t p then unpark t p)
+    (in_peer_order t due)
 
 let handle_query t peer ~from goal =
   let respond payload = post t ~from:peer.Peer.name ~target:from payload in
@@ -688,15 +793,15 @@ let handle_query t peer ~from goal =
           m "%s parks %s for %s (%d sub-quer%s outstanding)" peer.Peer.name
             (Literal.to_string goal) from (List.length waiting)
             (if List.length waiting = 1 then "y" else "ies"));
-      t.parked <-
+      park t
         {
           pk_peer = peer.Peer.name;
           pk_requester = from;
           pk_goal = goal;
           pk_waiting = waiting;
           pk_request = None;
+          pk_seq = next_stamp t;
         }
-        :: t.parked
 
 (* Learn inbound certificates, journalling each one the peer did not
    already hold and that survived verification — checked against the
@@ -746,7 +851,7 @@ let rec dispatch t ~synthetic (from, target, payload) =
           let pkey = (target, from, goal_key goal) in
           Hashtbl.replace t.answers pkey instances;
           resolve t pkey;
-          reevaluate t target
+          wake t target (`Key pkey)
       | Net.Message.Deny { goal; reason } ->
           (* When tabling is on, a denial may kill a table's dependency
              view; the failure cascades to the view's dependent tables. *)
@@ -756,32 +861,29 @@ let rec dispatch t ~synthetic (from, target, payload) =
           if not (Hashtbl.mem t.answers pkey) then
             Hashtbl.replace t.denials pkey reason;
           resolve t pkey;
-          reevaluate t target
+          wake t target (`Key pkey)
       | Net.Message.Disclosure { certs; _ } ->
           learn_certs t peer ~from certs;
-          reevaluate t target
+          wake t target `All
       | Net.Message.Cancel { goal } ->
           (* The requester withdrew this goal (deadline expiry): drop
              the work parked on its behalf; sub-queries the evaluation
              already posted resolve into answers nobody consumes. *)
           let key = goal_key goal in
-          let cancelled, kept =
-            List.partition
-              (fun p ->
-                p.pk_request = None
-                && String.equal p.pk_peer target
-                && String.equal p.pk_requester from
-                && String.equal (goal_key p.pk_goal) key)
-              t.parked
-          in
           List.iter
-            (fun _ ->
-              Metric.incr m_cancelled_goals;
-              Otracer.event (Obs.tracer ())
-                (Printf.sprintf "reactor.cancelled %s withdraws %s at %s" from
-                   key target))
-            cancelled;
-          t.parked <- kept
+            (fun p ->
+              if
+                p.pk_request = None
+                && String.equal p.pk_requester from
+                && String.equal (goal_key p.pk_goal) key
+              then begin
+                unpark t p;
+                Metric.incr m_cancelled_goals;
+                Otracer.event (Obs.tracer ())
+                  (Printf.sprintf "reactor.cancelled %s withdraws %s at %s"
+                     from key target)
+              end)
+            (parked_at t target)
       | Net.Message.Batch payloads ->
           List.iter (fun p -> dispatch t ~synthetic (from, target, p)) payloads
       | Net.Message.Ack -> ()
@@ -815,7 +917,7 @@ let rec dispatch t ~synthetic (from, target, payload) =
             Hashtbl.replace t.answers pkey
               (List.map (fun i -> (i, None)) instances);
             resolve t pkey;
-            reevaluate t target
+            wake t target (`Key pkey)
           end
           else
             (* A non-final push proves the link is alive — stand the
@@ -870,9 +972,10 @@ let launch_root ?trace t ~id ~requester ~target goal =
       pk_goal = goal;
       pk_waiting = [ (target, key) ];
       pk_request = Some id;
+      pk_seq = next_stamp t;
     }
   in
-  if not (try_settle t p) then t.parked <- p :: t.parked
+  if not (try_settle t p) then park t p
 
 let submit ?deadline t ~requester ~target goal =
   let id = t.next_request in
@@ -1254,10 +1357,9 @@ let crash_peer t name =
       ignore (Answer_cache.invalidate_owner c name : int)
   | None -> ());
   (match t.tabling_st with Some tb -> Tabling.crash tb name | None -> ());
-  let mine, others =
-    List.partition (fun p -> String.equal p.pk_peer name) t.parked
-  in
-  t.parked <- others;
+  let mine = in_peer_order t (parked_at t name) in
+  List.iter (unpark t) mine;
+  Hashtbl.remove t.unwoken name;
   List.iter
     (fun p ->
       match p.pk_request with
@@ -1311,15 +1413,16 @@ let restart_peer t name =
                   | _ -> ())
                 entries
           | None -> ());
-          let finished =
-            List.filter_map
-              (function Persist.Journal.Done { id } -> Some id | _ -> None)
-              entries
-          in
+          let finished = Hashtbl.create 16 in
+          List.iter
+            (function
+              | Persist.Journal.Done { id } -> Hashtbl.replace finished id ()
+              | _ -> ())
+            entries;
           List.iter
             (function
               | Persist.Journal.Goal { id; target; goal }
-                when (not (List.mem id finished))
+                when (not (Hashtbl.mem finished id))
                      && not (Hashtbl.mem t.results id) ->
                   Metric.incr m_recovered_goals;
                   Otracer.event (Obs.tracer ())
@@ -1380,6 +1483,12 @@ let expire_deadline t id =
         post ?trace:tm.tm_trace t ~from:requester ~target
           (Net.Message.Cancel { goal = tm.tm_goal }))
       mine;
+    (* Withdrawn keys resolve without a wake: whatever else waits on
+       them is retried at the requester's next wake. *)
+    if mine <> [] then
+      Hashtbl.replace t.unwoken requester
+        (List.map fst mine
+        @ Option.value ~default:[] (Hashtbl.find_opt t.unwoken requester));
     let akeys = Hashtbl.fold (fun k _ acc -> k :: acc) t.awaiting [] in
     List.iter
       (fun k ->
@@ -1388,7 +1497,9 @@ let expire_deadline t id =
              (fun ((p, _, _), _) -> not (String.equal p requester))
              (Hashtbl.find t.awaiting k)))
       akeys;
-    t.parked <- List.filter (fun p -> p.pk_request <> Some id) t.parked;
+    List.iter
+      (fun p -> if p.pk_request = Some id then unpark t p)
+      (parked_at t requester);
     settle_request t id (Negotiation.Denied "deadline expired")
   end
 
@@ -1432,22 +1543,29 @@ let step t =
    finite-failure reading of cyclic policies — and let the denial
    propagate; top-level survivors are denied as quiescent. *)
 let break_quiescence t =
-  match
-    List.partition (fun p -> p.pk_request = None) t.parked
-  with
-  | p :: rest, tops ->
-      t.parked <- rest @ tops;
+  let latest ps =
+    List.fold_left
+      (fun best p ->
+        match best with
+        | Some b when recency t b >= recency t p -> best
+        | Some _ | None -> Some p)
+      None ps
+  in
+  let roots, others =
+    List.partition (fun p -> p.pk_request <> None) (all_parked t)
+  in
+  t.last_break <- next_stamp t;
+  match (latest others, latest roots) with
+  | Some p, _ ->
+      unpark t p;
       post t ~from:p.pk_peer ~target:p.pk_requester
         (Net.Message.Deny { goal = p.pk_goal; reason = "negotiation cycle" });
       true
-  | [], p :: rest -> (
-      match p.pk_request with
-      | Some id ->
-          settle_request t id (Negotiation.Denied "negotiation quiescent");
-          t.parked <- rest;
-          true
-      | None -> false)
-  | [], [] -> false
+  | None, Some ({ pk_request = Some id; _ } as p) ->
+      settle_request t id (Negotiation.Denied "negotiation quiescent");
+      unpark t p;
+      true
+  | None, (Some _ | None) -> false
 
 (* Tabling's quiescence hook: heal lagging views, then (if all in sync)
    start an SCC probe epoch.  Runs before [break_quiescence] so cyclic
@@ -1475,13 +1593,12 @@ let run_inner ?(max_steps = 100_000) t =
     else continue := false
   done;
   if t.budget_hit then
-    List.iter
-      (fun p ->
-        match p.pk_request with
-        | Some id ->
-            settle_request t id (Negotiation.Denied "message budget exhausted")
-        | None -> ())
-      t.parked;
+    all_parked t
+    |> List.filter_map (fun p ->
+           Option.map (fun id -> (recency t p, id)) p.pk_request)
+    |> List.sort (fun (a, _) (b, _) -> compare b a)
+    |> List.iter (fun (_, id) ->
+           settle_request t id (Negotiation.Denied "message budget exhausted"));
   !steps
 
 let run ?max_steps t =
@@ -1500,7 +1617,7 @@ let run ?max_steps t =
        (Hashtbl.fold
           (fun _ resolved acc -> if !resolved then acc else acc + 1)
           t.pending 0));
-  Metric.set g_parked (float_of_int (List.length t.parked));
+  Metric.set g_parked (float_of_int t.parked_n);
   steps
 
 let result t id = Hashtbl.find_opt t.results id
@@ -1510,7 +1627,7 @@ let outcome t id =
   | Some o -> o
   | None -> Negotiation.Denied "negotiation quiescent"
 
-let parked_count t = List.length t.parked
+let parked_count t = t.parked_n
 let pending_timers t = Hashtbl.length t.timers
 
 let tabling_summary t =

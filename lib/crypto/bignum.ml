@@ -437,10 +437,7 @@ let to_string a =
 let to_hex a =
   if is_zero a then "0"
   else begin
-    let b = to_bytes_be a in
-    let buf = Buffer.create (2 * Bytes.length b) in
-    Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
-    let s = Buffer.contents buf in
+    let s = Peertrust_obs.Hex.encode (Bytes.unsafe_to_string (to_bytes_be a)) in
     (* Strip one possible leading zero nibble for a canonical form. *)
     if String.length s > 1 && s.[0] = '0' then String.sub s 1 (String.length s - 1) else s
   end

@@ -1,22 +1,9 @@
+module Hex = Peertrust_obs.Hex
+
 type error = Malformed of string
 
 let header = "-----BEGIN PEERTRUST CERTIFICATE-----"
 let footer = "-----END PEERTRUST CERTIFICATE-----"
-
-let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let string_of_hex h =
-  if String.length h mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init
-           (String.length h / 2)
-           (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
-    with Failure _ | Invalid_argument _ -> None
 
 let encode (c : Cert.t) =
   let buf = Buffer.create 512 in
@@ -30,7 +17,7 @@ let encode (c : Cert.t) =
   List.iter
     (fun (issuer, signature) ->
       Buffer.add_string buf
-        (Printf.sprintf "sig: %s:%s\n" (hex_of_string issuer)
+        (Printf.sprintf "sig: %s:%s\n" (Hex.encode issuer)
            (Bignum.to_hex signature)))
     c.Cert.signatures;
   Buffer.add_string buf footer;
@@ -47,7 +34,7 @@ let parse_field ~name line =
 let hex_to_bignum h =
   (* Bignum.to_hex strips a leading zero nibble; re-pad if needed. *)
   let h = if String.length h mod 2 = 1 then "0" ^ h else h in
-  match string_of_hex h with
+  match Hex.decode h with
   | Some bytes_str -> Some (Bignum.of_bytes_be (Bytes.of_string bytes_str))
   | None -> None
 
@@ -101,7 +88,7 @@ let decode_block ~start lines =
                                             (String.length v - i - 1)
                                         in
                                         match
-                                          (string_of_hex name_hex,
+                                          (Hex.decode name_hex,
                                            hex_to_bignum sig_hex)
                                         with
                                         | Some issuer, Some signature ->

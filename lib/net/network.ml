@@ -49,8 +49,12 @@ type t = {
   max_messages : int option;
   peers : (string, handler) Hashtbl.t;
   down : (string, unit) Hashtbl.t;
-  log : entry Queue.t;  (* chronological; bounded ring *)
+  mutable log : entry array;
+  (* bounded ring: entry number [i] lives at [log.(i mod length)]; the
+     array doubles on demand up to [log_cap] *)
   log_cap : int;
+  mutable logged : int;  (* entries ever logged, monotonic *)
+  mutable log_first : int;  (* number of the oldest retained entry *)
   mutable log_dropped : int;
   mutable faults : Faults.t;
   mutable next_id : int;  (* envelope ids *)
@@ -69,8 +73,10 @@ let create ?(latency = 1) ?max_messages ?(log_cap = default_log_cap) () =
     max_messages;
     peers = Hashtbl.create 16;
     down = Hashtbl.create 4;
-    log = Queue.create ();
+    log = [||];
     log_cap;
+    logged = 0;
+    log_first = 0;
     log_dropped = 0;
     faults = Faults.none ();
     next_id = 0;
@@ -102,11 +108,22 @@ let link_latency t ~from ~target =
   Option.value ~default:t.latency (Hashtbl.find_opt t.link_latency (from, target))
 
 let log_entry t entry =
-  Queue.add entry t.log;
-  if Queue.length t.log > t.log_cap then begin
-    ignore (Queue.pop t.log);
-    t.log_dropped <- t.log_dropped + 1
-  end
+  let len = Array.length t.log in
+  if t.logged - t.log_first = len then
+    if len < t.log_cap then begin
+      (* Grow: re-home the retained entries under the new modulus. *)
+      let grown = Array.make (min t.log_cap (max 16 (2 * len))) entry in
+      for i = t.log_first to t.logged - 1 do
+        grown.(i mod Array.length grown) <- t.log.(i mod len)
+      done;
+      t.log <- grown
+    end
+    else begin
+      t.log_first <- t.log_first + 1;
+      t.log_dropped <- t.log_dropped + 1
+    end;
+  t.log.(t.logged mod Array.length t.log) <- entry;
+  t.logged <- t.logged + 1
 
 let dropped_log_entries t = t.log_dropped
 
@@ -235,15 +252,24 @@ let post t ~from ~target ?(attempt = 0) ?(incarnation = 0) ?trace payload =
           })
         delays
 
-let transcript t = List.of_seq (Queue.to_seq t.log)
+let logged t = t.logged
+
+let transcript_since t n =
+  let rec go i acc =
+    if i < max n t.log_first then acc
+    else go (i - 1) (t.log.(i mod Array.length t.log) :: acc)
+  in
+  go (t.logged - 1) []
+
+let transcript t = transcript_since t 0
 
 let clear_transcript t =
-  Queue.clear t.log;
+  t.log_first <- t.logged;
   t.log_dropped <- 0
 
 let pp_transcript fmt t =
-  Queue.iter
+  List.iter
     (fun e ->
       Format.fprintf fmt "[%4d] %s -> %s: %s (%d bytes)@\n" e.time e.from
         e.target e.summary e.bytes_)
-    t.log
+    (transcript t)

@@ -98,6 +98,15 @@ val transcript : t -> entry list
 (** Retained messages in delivery order (both directions of each round
     trip).  Long runs keep only the newest [log_cap] entries. *)
 
+val logged : t -> int
+(** Entries logged since creation — monotonic, unaffected by the cap and
+    by {!clear_transcript}; a mark for {!transcript_since}. *)
+
+val transcript_since : t -> int -> entry list
+(** [transcript_since t n] is the retained entries logged after
+    [logged t] read [n], in delivery order — what one negotiation sent,
+    at a cost proportional to that, not to the whole log. *)
+
 val dropped_log_entries : t -> int
 (** Transcript entries discarded by the ring buffer so far. *)
 

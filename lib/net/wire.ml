@@ -34,6 +34,7 @@
    [Peertrust_crypto.Wire]). *)
 
 module Trace_context = Peertrust_obs.Trace_context
+module Hex = Peertrust_obs.Hex
 
 type tabling =
   | Hquery of { path : (string * string) list }
@@ -122,45 +123,18 @@ let header_of_envelope (e : Envelope.t) =
    deps    ::= "-" | dep ("|" dep)*
    dep     ::= hex(owner) "~" hex(key) "~" seen "~" (0|1) *)
 
-let hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Printf.bprintf buf "%02x" (Char.code c)) s;
-  Buffer.contents buf
-
-let unhex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let nibble c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | _ -> None
-    in
-    let buf = Buffer.create (n / 2) in
-    let rec go i =
-      if i >= n then Some (Buffer.contents buf)
-      else
-        match (nibble s.[i], nibble s.[i + 1]) with
-        | Some hi, Some lo ->
-            Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
-            go (i + 2)
-        | _ -> None
-    in
-    go 0
-
-let pair_to_string (a, b) = hex a ^ "~" ^ hex b
+let pair_to_string (a, b) = Hex.encode a ^ "~" ^ Hex.encode b
 
 let pairs_to_string = function
   | [] -> "-"
   | ps -> String.concat "," (List.map pair_to_string ps)
 
 let dep_to_string (owner, key, seen, final) =
-  Printf.sprintf "%s~%s~%d~%d" (hex owner) (hex key) seen
+  Printf.sprintf "%s~%s~%d~%d" (Hex.encode owner) (Hex.encode key) seen
     (if final then 1 else 0)
 
 let entry_to_string (key, size, deps) =
-  Printf.sprintf "%s:%d:%s" (hex key) size
+  Printf.sprintf "%s:%d:%s" (Hex.encode key) size
     (match deps with
     | [] -> "-"
     | ds -> String.concat "|" (List.map dep_to_string ds))
@@ -251,7 +225,7 @@ let split_nonempty sep s = if String.equal s "-" then Some [] else
 let parse_pair s =
   match String.split_on_char '~' s with
   | [ a; b ] -> (
-      match (unhex a, unhex b) with
+      match (Hex.decode a, Hex.decode b) with
       | Some a, Some b -> Some (a, b)
       | _ -> None)
   | _ -> None
@@ -269,7 +243,7 @@ let parse_pairs s = Option.bind (split_nonempty ',' s) (map_opt parse_pair)
 let parse_dep s =
   match String.split_on_char '~' s with
   | [ o; k; seen; fin ] -> (
-      match (unhex o, unhex k, int_of_string_opt seen, fin) with
+      match (Hex.decode o, Hex.decode k, int_of_string_opt seen, fin) with
       | Some o, Some k, Some seen, ("0" | "1") ->
           Some (o, k, seen, String.equal fin "1")
       | _ -> None)
@@ -278,7 +252,7 @@ let parse_dep s =
 let parse_entry s =
   match String.split_on_char ':' s with
   | [ key; size; deps ] -> (
-      match (unhex key, int_of_string_opt size) with
+      match (Hex.decode key, int_of_string_opt size) with
       | Some key, Some size -> (
           match Option.bind (split_nonempty '|' deps) (map_opt parse_dep) with
           | Some ds -> Some (key, size, ds)

@@ -966,6 +966,55 @@ let test_fanout_message_growth () =
   let m1 = messages 1 and m4 = messages 4 and m8 = messages 8 in
   Alcotest.(check bool) "messages grow with width" true (m1 < m4 && m4 < m8)
 
+(* Negotiation reports slice the transcript by the network's monotonic
+   logged-entry count, so they stay whole after the transcript ring has
+   wrapped: every report's transcript holds exactly its own messages. *)
+let test_reports_survive_log_cap () =
+  let session = Session.create () in
+  let session =
+    { session with Session.network = Net.Network.create ~log_cap:16 () }
+  in
+  ignore
+    (Session.add_peer session
+       ~program:
+         {|resource("r") $ cred(Requester) @ "CA" <-{true} haveIt("r").
+           haveIt("r").
+           cred(X) @ "CA" <- cred(X) @ "CA" @ X.|}
+       "owner");
+  let requesters = List.init 12 (Printf.sprintf "req%d") in
+  List.iter
+    (fun name ->
+      ignore
+        (Session.add_peer session
+           ~program:
+             (Printf.sprintf {|cred(%S) @ "CA" $ true signedBy ["CA"].|} name)
+           name))
+    requesters;
+  Engine.attach_all session;
+  List.iter
+    (fun name ->
+      let r =
+        Negotiation.request_str session ~requester:name ~target:"owner"
+          {|resource("r")|}
+      in
+      Alcotest.(check bool) (name ^ " granted") true
+        (granted r.Negotiation.outcome);
+      Alcotest.(check int)
+        (name ^ ": transcript length = messages")
+        r.Negotiation.messages
+        (List.length r.Negotiation.transcript);
+      Alcotest.(check int)
+        (name ^ ": disclosures = certificates on the transcript")
+        (List.fold_left
+           (fun acc e -> acc + e.Net.Network.certs_)
+           0 r.Negotiation.transcript)
+        r.Negotiation.disclosures;
+      Alcotest.(check bool) (name ^ ": credential disclosed") true
+        (r.Negotiation.disclosures > 0))
+    requesters;
+  Alcotest.(check bool) "the ring wrapped" true
+    (Net.Network.dropped_log_entries session.Session.network > 0)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core"
@@ -1068,5 +1117,6 @@ let () =
         [
           tc "policy chain growth" test_policy_chain_message_growth;
           tc "fanout growth" test_fanout_message_growth;
+          tc "reports survive the log cap" test_reports_survive_log_cap;
         ] );
     ]

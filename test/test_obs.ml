@@ -890,6 +890,69 @@ let test_tracing_off_records_nothing () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Hex codec *)
+
+(* The encoder is byte-for-byte the [Printf "%02x"] loop it replaced, so
+   journal and certificate wire bytes are unchanged. *)
+let test_hex_golden () =
+  for b = 0 to 255 do
+    Alcotest.(check string)
+      (Printf.sprintf "byte %d" b)
+      (Printf.sprintf "%02x" b)
+      (Hex.encode (String.make 1 (Char.chr b)))
+  done;
+  let all = String.init 256 Char.chr in
+  Alcotest.(check string) "all bytes in order"
+    (String.concat "" (List.init 256 (Printf.sprintf "%02x")))
+    (Hex.encode all);
+  Alcotest.(check string) "empty" "" (Hex.encode "")
+
+(* The decoders it replaced read each pair with [int_of_string ("0x" ^
+   pair)], which also takes OCaml's digit separator: ["f_"] decoded to
+   0x0f.  The shared decoder is strict — only hex digits, either case. *)
+let test_hex_strict_decode () =
+  let dec = Alcotest.(option string) in
+  Alcotest.(check dec) "separator rejected" None (Hex.decode "f_");
+  Alcotest.(check dec) "leading separator rejected" None (Hex.decode "_f");
+  Alcotest.(check dec) "sign rejected" None (Hex.decode "+f");
+  Alcotest.(check dec) "odd length rejected" None (Hex.decode "abc");
+  Alcotest.(check dec) "non-digit rejected" None (Hex.decode "0g");
+  Alcotest.(check dec) "uppercase accepted" (Some "\x0f\xab\xcd")
+    (Hex.decode "0FABCD");
+  Alcotest.(check dec) "mixed case accepted" (Some "\xab") (Hex.decode "aB");
+  Alcotest.(check dec) "empty" (Some "") (Hex.decode "")
+
+let prop_hex_roundtrip =
+  QCheck.Test.make ~name:"hex: decode inverts encode, in either case"
+    ~count:300 QCheck.string (fun s ->
+      let h = Hex.encode s in
+      Hex.decode h = Some s
+      && Hex.decode (String.uppercase_ascii h) = Some s
+      && String.length h = 2 * String.length s)
+
+let prop_hex_total =
+  QCheck.Test.make
+    ~name:"hex: decode is total and accepts exactly the hex strings"
+    ~count:500
+    QCheck.(
+      string_gen_of_size
+        Gen.(int_range 0 12)
+        (Gen.oneofl (List.of_seq (String.to_seq "0189afAF_xg +-"))))
+    (fun s ->
+      let is_digit = function
+        | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+        | _ -> false
+      in
+      match Hex.decode s with
+      | Some r ->
+          String.length s mod 2 = 0
+          && String.for_all is_digit s
+          && Hex.encode r = String.lowercase_ascii s
+      | None ->
+          String.length s mod 2 = 1 || not (String.for_all is_digit s)
+      | exception _ -> false)
+
 let () =
   Alcotest.run "obs"
     [
@@ -955,6 +1018,13 @@ let () =
           Alcotest.test_case "anomaly flags" `Quick test_timeline_anomalies;
           Alcotest.test_case "restart storm" `Quick
             test_timeline_restart_storm;
+        ] );
+      ( "hex",
+        [
+          Alcotest.test_case "golden against %02x" `Quick test_hex_golden;
+          Alcotest.test_case "strict decoder" `Quick test_hex_strict_decode;
+          QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+          QCheck_alcotest.to_alcotest prop_hex_total;
         ] );
       ( "diff",
         [

@@ -1319,6 +1319,81 @@ let prop_journal_replay_idempotent =
           Persist.Journal.replay_peer twice es;
           peer_signature once = peer_signature twice)
 
+(* The journal's in-memory bookkeeping — typed entries held by memory
+   sinks, the settled-root count that triggers compaction — must always
+   agree with what a reader parses back from the bytes, on both sinks
+   and across appends, rewrites and compactions. *)
+type journal_op =
+  | J_append of Persist.Journal.entry
+  | J_rewrite of Persist.Journal.entry list
+  | J_compact of int
+
+let arb_journal_ops =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | J_append _ -> "append"
+             | J_rewrite es -> Printf.sprintf "rewrite %d" (List.length es)
+             | J_compact n -> Printf.sprintf "compact %d" n)
+           ops))
+    QCheck.Gen.(
+      list_size (int_range 0 30)
+        (frequency
+           [
+             (8, map (fun e -> J_append e) gen_journal_entry);
+             ( 1,
+               map
+                 (fun es -> J_rewrite es)
+                 (list_size (int_range 0 5) gen_journal_entry) );
+             (1, map (fun n -> J_compact n) (int_range 0 4));
+           ]))
+
+let journal_consistent j =
+  let dones es =
+    List.length
+      (List.filter (function Persist.Journal.Done _ -> true | _ -> false) es)
+  in
+  match
+    ( Persist.Journal.entries j,
+      Persist.Journal.parse (Persist.Journal.contents j) )
+  with
+  | Ok held, Ok parsed ->
+      held = parsed && Persist.Journal.settled j = dones parsed
+  | _ -> false
+
+let prop_journal_bookkeeping =
+  QCheck.Test.make
+    ~name:
+      "persist: journal entries and settled count match a re-parse, both \
+       sinks"
+    ~count:(scale 150) arb_journal_ops (fun ops ->
+      let path = Filename.temp_file "journal" ".log" in
+      Sys.remove path;
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          let mem = Persist.Journal.in_memory ()
+          and disk = Persist.Journal.on_disk path in
+          let apply j = function
+            | J_append e -> Persist.Journal.append j e
+            | J_rewrite es -> Persist.Journal.rewrite j es
+            | J_compact after ->
+                ignore (Persist.Journal.compact ~after j : int option)
+          in
+          List.for_all
+            (fun op ->
+              apply mem op;
+              apply disk op;
+              journal_consistent mem && journal_consistent disk
+              && Persist.Journal.contents mem = Persist.Journal.contents disk)
+            ops
+          (* A later process resuming the disk journal re-learns the
+             count from the file. *)
+          && Persist.Journal.settled (Persist.Journal.on_disk path)
+             = Persist.Journal.settled disk))
+
 let () =
   Alcotest.run "properties"
     [
@@ -1378,6 +1453,7 @@ let () =
             prop_journal_truncation_prefix;
             prop_journal_mutated_total;
             prop_journal_replay_idempotent;
+            prop_journal_bookkeeping;
           ] );
       ( "tabling",
         List.map QCheck_alcotest.to_alcotest

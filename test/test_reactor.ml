@@ -144,6 +144,92 @@ let test_reactor_marketplace_concurrent () =
     requests;
   Alcotest.(check int) "no parked leftovers" 0 (Reactor.parked_count reactor)
 
+(* A marketplace burst: every goal submitted at once to one guarded,
+   journalled reactor and run to quiescence — the configuration whose
+   wake-ups and journal compaction used to scale with the burst. *)
+let market_config = { Session.default_config with Session.max_hops = 64 }
+
+let run_burst ?(config = market_config) ~seed ~providers ~learners () =
+  let mp =
+    Scenario.marketplace
+      ~config:{ config with Session.guard = Guard.defaults }
+      ~seed:(Int64.of_int seed) ~providers ~learners ~courses_per_provider:4 ()
+  in
+  let reactor =
+    Reactor.create
+      ~config:
+        { Reactor.default_config with Reactor.journal = Reactor.Journal_memory }
+      mp.Scenario.mp_session
+  in
+  let requests =
+    List.map
+      (fun (learner, provider, goal) ->
+        ( (learner, provider),
+          Reactor.submit reactor ~requester:learner ~target:provider goal ))
+      mp.Scenario.mp_goals
+  in
+  ignore (Reactor.run reactor);
+  Alcotest.(check int) "burst leaves nothing parked" 0
+    (Reactor.parked_count reactor);
+  List.map (fun (pair, id) -> (pair, Reactor.outcome reactor id)) requests
+
+let outcome_summary = function
+  | Negotiation.Granted instances ->
+      "granted: "
+      ^ String.concat "; "
+          (List.map (fun (l, _) -> Literal.to_string l) instances)
+  | Negotiation.Denied _ -> "denied"
+
+(* A delivery wakes only the goals waiting on what it resolved, and
+   compaction reads a counter, so a negotiation's solver work is the
+   same whether it shares the reactor with 32 others or with 512. *)
+let test_reactor_burst_scaling () =
+  let per_negotiation learners =
+    let queries = Pobs.Obs.counter "sld.queries"
+    and steps = Pobs.Obs.counter "sld.steps" in
+    let q0 = Pobs.Metric.value queries and s0 = Pobs.Metric.value steps in
+    let outcomes = run_burst ~seed:11 ~providers:8 ~learners () in
+    let n = float_of_int (List.length outcomes) in
+    Alcotest.(check int) "one negotiation per pair" (8 * learners)
+      (List.length outcomes);
+    ( float_of_int (Pobs.Metric.value queries - q0) /. n,
+      float_of_int (Pobs.Metric.value steps - s0) /. n )
+  in
+  let q4, s4 = per_negotiation 4 and q64, s64 = per_negotiation 64 in
+  let within name small large =
+    if large > 1.1 *. small || small > 1.1 *. large then
+      Alcotest.failf "%s per negotiation: %.1f at L=4 but %.1f at L=64" name
+        small large
+  in
+  within "sld.queries" q4 q64;
+  within "sld.steps" s4 s64
+
+(* Differential check of the key-scoped wake-up against the synchronous
+   engine: the burst's per-(learner, provider) outcomes equal those of
+   the same enrolments negotiated one at a time on a fresh world. *)
+let test_reactor_burst_matches_sync () =
+  List.iter
+    (fun seed ->
+      let burst = run_burst ~seed ~providers:3 ~learners:6 () in
+      let mp =
+        Scenario.marketplace ~config:market_config ~seed:(Int64.of_int seed)
+          ~providers:3 ~learners:6 ~courses_per_provider:4 ()
+      in
+      List.iter2
+        (fun (learner, provider, goal) ((l, p), outcome) ->
+          Alcotest.(check (pair string string)) "same pair" (learner, provider)
+            (l, p);
+          let sync =
+            Negotiation.request mp.Scenario.mp_session ~requester:learner
+              ~target:provider goal
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d: %s at %s" seed learner provider)
+            (outcome_summary sync.Negotiation.outcome)
+            (outcome_summary outcome))
+        mp.Scenario.mp_goals burst)
+    [ 1; 7; 11 ]
+
 let test_reactor_disclosure_message () =
   (* A pushed disclosure wakes parked goals. *)
   let session = Session.create () in
@@ -987,6 +1073,44 @@ let test_deadline_expiry_cancels () =
   Alcotest.(check bool) "responder dropped the parked goal" true
     (counter snap "reactor.cancelled_goals" > 0)
 
+(* A deadline withdrawal resolves its sub-queries without delivering
+   anything.  A second root sharing the withdrawn sub-query must still be
+   retried at the requester's next wake — here the bystander answer that
+   lands after the deadline — and denied by its target, not left parked
+   until the run goes quiescent. *)
+let test_deadline_withdrawal_wakes_sharers () =
+  let session = Session.create () in
+  ignore (Session.add_peer session ~program:{|info(1) $ true.|} "owner");
+  ignore (Session.add_peer session ~program:{|other(1) $ true.|} "side");
+  ignore (Session.add_peer session "req");
+  let net = session.Session.network in
+  let faults = Net.Faults.none () in
+  Net.Faults.add_outage faults ~peer:"owner" ~from_tick:0 ~until_tick:1000;
+  Net.Network.set_faults net faults;
+  Net.Network.set_link_latency net ~from:"req" ~target:"side" 10;
+  let reactor = Reactor.create session in
+  let late =
+    Reactor.submit ~deadline:4 reactor ~requester:"req" ~target:"owner"
+      (lit "info(X)")
+  in
+  let sharer =
+    Reactor.submit reactor ~requester:"req" ~target:"owner" (lit "info(X)")
+  in
+  let bystander =
+    Reactor.submit reactor ~requester:"req" ~target:"side" (lit "other(X)")
+  in
+  ignore (Reactor.run reactor);
+  let denial id =
+    match Reactor.outcome reactor id with
+    | Negotiation.Denied reason -> reason
+    | Negotiation.Granted _ -> "granted"
+  in
+  Alcotest.(check string) "deadline" "deadline expired" (denial late);
+  Alcotest.(check string) "sharer retried at the next wake"
+    "denied by target" (denial sharer);
+  Alcotest.(check bool) "bystander granted" true
+    (granted (Reactor.outcome reactor bystander))
+
 let with_temp_dir f =
   let dir = Filename.temp_file "ptjournal" "" in
   Sys.remove dir;
@@ -1061,6 +1185,8 @@ let () =
         [
           tc "interleaved negotiations" test_reactor_concurrent_negotiations;
           tc "marketplace over one queue" test_reactor_marketplace_concurrent;
+          tc "burst work independent of burst size" test_reactor_burst_scaling;
+          tc "burst agrees with sync engine" test_reactor_burst_matches_sync;
           tc "missing credential denied" test_reactor_disclosure_message;
         ] );
       ( "failure",
@@ -1116,6 +1242,8 @@ let () =
           tc "requester root recovery" test_crash_requester_root_recovery;
           tc "suspend and reissue" test_crash_suspend_reissue;
           tc "deadline expiry cancels" test_deadline_expiry_cancels;
+          tc "deadline withdrawal wakes sharers"
+            test_deadline_withdrawal_wakes_sharers;
           tc "cross-process journal resume"
             test_journal_dir_cross_process_resume;
         ] );
