@@ -9,6 +9,13 @@ dune build
 dune runtest
 dune build @fmt
 
+# No control flow reads the observability registry: outside lib/obs the
+# library threads its counts (e.g. solver steps) out of calls as values.
+if grep -rn 'Metric\.value' lib --exclude-dir=obs; then
+  echo "check: Metric.value read outside lib/obs" >&2
+  exit 1
+fi
+
 # The committed BENCH_*.json baselines must come out of the run untouched:
 # every artifact below goes to the scratch dir.  Checked at the end.
 bench_sums=$(cksum BENCH_*.json)

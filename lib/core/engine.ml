@@ -42,6 +42,10 @@ let learn ?from_ session peer certs =
       end)
     certs
 
+(* The resolution work of one {!answer_stats} call: every inner solve is
+   capped at [cap] steps, and [spent] sums the steps they took. *)
+type meter = { cap : int; mutable spent : int }
+
 (* Remote dispatch used from inside a peer's local SLD evaluation: pop the
    outermost authority and ship the literal to that peer. *)
 let rec remote_callback session peer ~target lit =
@@ -93,8 +97,8 @@ let rec remote_callback session peer ~target lit =
       "query" run
   else run ()
 
-and evaluate ?(allow_remote = true) ?remote ?solutions ?requester session
-    peer goals =
+and eval_goals ?(allow_remote = true) ?remote ?solutions ?requester ?meter
+    session peer goals =
   let bindings =
     match requester with
     | Some r -> [ ("Requester", Term.str r) ]
@@ -112,17 +116,34 @@ and evaluate ?(allow_remote = true) ?remote ?solutions ?requester session
     | None -> peer.Peer.options
     | Some n -> { peer.Peer.options with Sld.max_solutions = n }
   in
-  Sld.solve ~options ~externals:peer.Peer.externals ~remote ~bindings
-    ~self:peer.Peer.name peer.Peer.kb goals
+  let options =
+    match meter with
+    | Some m when m.cap < options.Sld.max_steps ->
+        { options with Sld.max_steps = m.cap }
+    | Some _ | None -> options
+  in
+  let answers, steps =
+    Sld.solve_stats ~options ~externals:peer.Peer.externals ~remote ~bindings
+      ~self:peer.Peer.name peer.Peer.kb goals
+  in
+  (match meter with Some m -> m.spent <- m.spent + steps | None -> ());
+  answers
 
-let prover ?allow_remote ?remote session peer : Policy.prover =
+let evaluate ?allow_remote ?remote ?solutions ?requester session peer goals =
+  eval_goals ?allow_remote ?remote ?solutions ?requester session peer goals
+
+let metered_prover ?allow_remote ?remote ?meter session peer : Policy.prover =
  fun ~requester goals ->
   (* One witness suffices to grant a release. *)
   match
-    evaluate ?allow_remote ?remote ~solutions:1 ~requester session peer goals
+    eval_goals ?allow_remote ?remote ~solutions:1 ~requester ?meter session
+      peer goals
   with
   | [] -> None
   | a :: _ -> Some a
+
+let prover ?allow_remote ?remote session peer =
+  metered_prover ?allow_remote ?remote session peer
 
 (* Rename the residual engine-generated variables ([X~e12], [Email~2], or
    raw fresh ids) in an answer instance to neutral names, so reports and
@@ -171,10 +192,10 @@ let dedup_certs certs =
 (* Certificates backing the signed rules used in the given proofs, plus
    [extra] rules (the top-level rule when it is itself signed), filtered by
    their release policies towards [requester]. *)
-let releasable_proof_certs ?allow_remote ?remote session peer ~requester
-    proofs extra =
+let releasable_proof_certs ?allow_remote ?remote ~meter session peer
+    ~requester proofs extra =
   let used = Trace.credentials_of_list proofs @ extra in
-  let prover = prover ?allow_remote ?remote session peer in
+  let prover = metered_prover ?allow_remote ?remote ~meter session peer in
   let self = peer.Peer.name in
   used
   |> List.filter_map (fun rule ->
@@ -189,7 +210,8 @@ let releasable_proof_certs ?allow_remote ?remote session peer ~requester
              | Policy.Denied _ -> None))
   |> dedup_certs
 
-let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
+let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
+    goal =
   if not (Peer.enter peer ~requester goal) then Error "cycle"
   else
     Fun.protect
@@ -239,9 +261,9 @@ let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
                         List.map (Literal.apply s0) (ctx_builtin @ r.Rule.body)
                       in
                       let body_answers =
-                        evaluate ~allow_remote ?remote
+                        eval_goals ~allow_remote ?remote
                           ~solutions:config.Session.max_answers ~requester
-                          session peer pre_goals
+                          ~meter session peer pre_goals
                       in
                       let n_builtin = List.length ctx_builtin in
                       let use_answer (a : Sld.answer) =
@@ -262,8 +284,8 @@ let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
                             | [] -> Some Subst.empty
                             | goals -> (
                                 match
-                                  evaluate ~allow_remote ?remote ~solutions:1
-                                    ~requester session peer goals
+                                  eval_goals ~allow_remote ?remote ~solutions:1
+                                    ~requester ~meter session peer goals
                                 with
                                 | [] -> None
                                 | a2 :: _ -> Some a2.Sld.subst)
@@ -279,7 +301,8 @@ let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
                               let extra = if Rule.is_signed r then [ rule ] else [] in
                               let answer_certs =
                                 releasable_proof_certs ~allow_remote ?remote
-                                  session peer ~requester body_proofs extra
+                                  ~meter session peer ~requester body_proofs
+                                  extra
                               in
                               certs := !certs @ answer_certs;
                               let proof =
@@ -340,7 +363,9 @@ let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
                 | None -> ()
                 | Some s0 -> (
                     saw_release_rule := true;
-                    let prover = prover ~allow_remote ?remote session peer in
+                    let prover =
+                      metered_prover ~allow_remote ?remote ~meter session peer
+                    in
                     match
                       Policy.credential_releasable ~prover ~kb:peer.Peer.kb
                         ~requester ~self rule
@@ -351,8 +376,8 @@ let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
                           List.map (Literal.apply s0) r.Rule.body
                         in
                         match
-                          evaluate ~allow_remote ?remote ~solutions:1
-                            ~requester session peer body_goals
+                          eval_goals ~allow_remote ?remote ~solutions:1
+                            ~requester ~meter session peer body_goals
                         with
                         | [] -> ()
                         | a :: _ ->
@@ -363,7 +388,8 @@ let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
                             in
                             let answer_certs =
                               releasable_proof_certs ~allow_remote ?remote
-                                session peer ~requester a.Sld.proofs [ rule ]
+                                ~meter session peer ~requester a.Sld.proofs
+                                [ rule ]
                             in
                             certs := !certs @ answer_certs;
                             let proof =
@@ -407,7 +433,9 @@ let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
                release policies also grant the requester (this is how a
                delegation chain collected hop by hop reaches the original
                requester). *)
-            let prover = prover ~allow_remote ?remote session peer in
+            let prover =
+              metered_prover ~allow_remote ?remote ~meter session peer
+            in
             let relayed =
               Hashtbl.fold
                 (fun _ (c : Crypto.Cert.t) acc ->
@@ -426,8 +454,12 @@ let answer_body ?(allow_remote = true) ?remote session peer ~requester goal =
             in
             Ok (instances, dedup_certs (!certs @ relayed)))
 
-let answer ?allow_remote ?remote session peer ~requester goal =
-  let run () = answer_body ?allow_remote ?remote session peer ~requester goal in
+let answer_stats ?allow_remote ?remote ?(max_steps = max_int) session peer
+    ~requester goal =
+  let meter = { cap = max_steps; spent = 0 } in
+  let run () =
+    answer_body ?allow_remote ?remote ~meter session peer ~requester goal
+  in
   let result =
     let tracer = Obs.tracer () in
     if Otracer.enabled tracer then
@@ -452,7 +484,10 @@ let answer ?allow_remote ?remote session peer ~requester goal =
   (match result with
   | Ok _ -> Metric.incr m_answers
   | Error _ -> Metric.incr m_denials);
-  result
+  (result, meter.spent)
+
+let answer ?allow_remote ?remote session peer ~requester goal =
+  fst (answer_stats ?allow_remote ?remote session peer ~requester goal)
 
 let handler session peer : Net.Network.handler =
  fun ~from payload ->

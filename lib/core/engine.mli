@@ -53,6 +53,20 @@ val answer :
     network-backed remote dispatch — the queued engine ({!Reactor}) passes
     a collector that records blocked sub-goals instead of recursing. *)
 
+val answer_stats :
+  ?allow_remote:bool ->
+  ?remote:Sld.remote ->
+  ?max_steps:int ->
+  Session.t ->
+  Peer.t ->
+  requester:string ->
+  Literal.t ->
+  (instance list * Peertrust_crypto.Cert.t list, string) result * int
+(** Like {!answer}, also returning the resolution steps the call spent:
+    the sum over every inner solve, each capped at [max_steps] (default
+    unbounded) on top of the peer's own {!Sld.options}.  The reactor
+    charges this count against the requester's guard quota. *)
+
 val evaluate :
   ?allow_remote:bool ->
   ?remote:Sld.remote ->

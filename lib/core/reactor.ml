@@ -33,11 +33,6 @@ let g_outstanding = Obs.gauge "reactor.outstanding_subqueries"
 let g_parked = Obs.gauge "reactor.parked_goals"
 let h_steps = Obs.histogram "reactor.steps_per_run"
 
-(* The SLD step counter, shared with the solver through the registry:
-   the delta around an evaluation is the work charged against the
-   requester's guard quota. *)
-let m_sld_steps = Obs.counter "sld.steps"
-
 (* Where the write-ahead journal lives.  [Journal_memory] is the
    simulator's stand-in for a durable disk: the buffer belongs to the
    reactor, not to the peer, so it survives the crash wipe exactly as a
@@ -45,18 +40,11 @@ let m_sld_steps = Obs.counter "sld.steps"
 type journal_mode = Journal_off | Journal_memory | Journal_dir of string
 
 type config = {
-  rto : int;  (* initial retransmission timeout, ticks *)
   retry_limit : int;  (* retransmissions per sub-query before timeout *)
   cache : Answer_cache.t option;
   (* answer cache consulted before posting a sub-query and filled on
      answer delivery; pass one reactor's cache to the next for the
      shared cross-session mode *)
-  batch : bool;
-  (* coalesce same-tick sub-queries to one peer into a single Batch
-     envelope *)
-  dedup_cap : int;
-  (* capacity of the delivered-envelope-id dedup set; past it the
-     oldest ids are forgotten (counted as reactor.dedup_evictions) *)
   tabling : bool;
   (* route requests through distributed tabling: per-goal tables at the
      owning peer, monotone answer views, SCC completion at quiescence —
@@ -70,43 +58,73 @@ type config = {
 }
 
 let default_config =
-  {
-    rto = 8;
-    retry_limit = 3;
-    cache = None;
-    batch = false;
-    dedup_cap = 8192;
-    tabling = false;
-    journal = Journal_off;
-  }
+  { retry_limit = 3; cache = None; tabling = false; journal = Journal_off }
+
+(* Initial retransmission timeout in ticks (doubling per retry), and the
+   capacity of each peer's delivered-envelope-id dedup ring (past it the
+   oldest ids are forgotten, counted as reactor.dedup_evictions). *)
+let rto = 8
+let dedup_cap = 8192
 
 type parked = {
   pk_peer : string;  (* the peer holding the goal *)
   pk_requester : string;  (* whom to answer *)
   pk_goal : Literal.t;
-  mutable pk_waiting : (string * string) list;  (* (target, goal key) *)
+  mutable pk_waiting : sub list;  (* the peer's sub-queries it awaits *)
   pk_request : int option;  (* top-level request id *)
   pk_seq : int;  (* stamp when parked: identity and park order *)
 }
 
-(* Retransmission state of one outstanding sub-query. *)
-type timer = {
+(* One sub-query a peer has asked, keyed by (target, goal key) in the
+   asking peer's record: each is posted at most once per asker. *)
+and sub = {
+  sq_target : string;
+  sq_key : string;
+  mutable sq_state : sub_state;
+  sq_waiters : (int, parked) Hashtbl.t;
+      (* the asker's goals parked on this sub-query, by [pk_seq] *)
+  mutable sq_wire : wire;
+}
+
+(* A later Answer overrides a Deny; a Deny never overrides an Answer. *)
+and sub_state =
+  | Pending
+  | Answered of Engine.instance list
+  | Denied of string  (* reason of the last Deny *)
+
+and wire =
+  | Idle  (* not outstanding on the wire *)
+  | Armed of timer
+      (* posted and unanswered; indexed in [t.timers] under a fault plan *)
+  | Suspended of timer
+      (* retries exhausted against a crashed target whose restart is
+         scheduled: reissued when it comes back *)
+
+(* Retransmission state of one posted sub-query. *)
+and timer = {
   tm_goal : Literal.t;
-  mutable tm_attempt : int;
-  mutable tm_rto : int;
+  tm_path : (string * string) list option;
+      (* [Some path] when the sub-query is a tabling Tquery; retransmits
+         must resend the same payload kind *)
+  mutable tm_attempt : int;  (* the timeout doubles per attempt *)
   mutable tm_next : int;  (* clock tick of the next retransmit/timeout *)
   tm_trace : Tctx.t option;
       (* trace context captured when the timer was armed, so retransmits
          and timeout denials stay on the originating negotiation's trace *)
-  tm_path : (string * string) list option;
-      (* [Some path] when the outstanding sub-query is a tabling Tquery;
-         retransmits must resend the same payload kind *)
 }
 
 (* Delivery queue ordered by (deliver_at, envelope id): earliest delivery
    first, post order on ties — plain FIFO when no delays are injected. *)
 module Dq = Map.Make (struct
   type t = int * int
+
+  let compare = compare
+end)
+
+(* Armed timers by (due tick, asker, target, goal key): the next one to
+   fire is the minimum. *)
+module Due = Set.Make (struct
+  type t = int * string * string * string
 
   let compare = compare
 end)
@@ -121,6 +139,26 @@ type snapshot = {
   sn_origins : (int, string) Hashtbl.t;
 }
 
+(* Everything the reactor keeps about one peer.  A crash wipes the
+   volatile part — ring, parked goals, unwoken sub-queries and the
+   sub-queries themselves; the rest survives it. *)
+type peer = {
+  name : string;
+  mutable ring : Net.Dedup.t option;  (* delivered envelope ids *)
+  parked : (int, parked) Hashtbl.t;  (* its parked goals, by [pk_seq] *)
+  mutable woken : int;  (* stamp of its last wake *)
+  mutable unwoken : sub list;
+      (* sub-queries resolved without a wake (deadline withdrawals);
+         their waiters join the peer's next wake *)
+  subs : (string * string, sub) Hashtbl.t;  (* (target, goal key) *)
+  mutable incarnation : int;  (* 0 at boot *)
+  observed : (string, int) Hashtbl.t;
+      (* sender -> highest incarnation seen from it *)
+  mutable crashed_at : int;  (* tick of the last crash; min_int if none *)
+  snapshot : snapshot option;  (* session peers only *)
+  journal : Persist.Journal.t option;
+}
+
 (* Scheduled point events on the reactor timeline, merged with
    deliveries and timers (events first on ties). *)
 type event =
@@ -133,52 +171,51 @@ type t = {
   config : config;
   guard : Guard.t;
   adversaries : (string, Net.Adversary.t) Hashtbl.t;
+  peers : (string, peer) Hashtbl.t;
   mutable dq : Net.Envelope.t Dq.t;
   mutable next_synth : int;  (* ids for locally synthesized messages, < 0 *)
-  rings : (string, Net.Dedup.t) Hashtbl.t;
-  (* delivered envelope ids, one bounded dedup ring per receiving peer —
-     volatile state a crash wipes for that peer alone *)
-  timers : (string * string * string, timer) Hashtbl.t;
-  (* (peer, target, goal key) -> resolved? — each sub-query is posted at
-     most once per asking peer. *)
-  pending : (string * string * string, bool ref) Hashtbl.t;
-  (* (peer, target, goal key) -> instances of the last Answer *)
-  answers : (string * string * string, Engine.instance list) Hashtbl.t;
-  (* (peer, target, goal key) -> reason of the last Deny *)
-  denials : (string * string * string, string) Hashtbl.t;
-  (* -------- parked goals, indexed by what can wake them -------- *)
-  parked : (string, (int, parked) Hashtbl.t) Hashtbl.t;
-  (* peer -> its parked goals, by [pk_seq] *)
-  waiters : (string * string * string, (int, parked) Hashtbl.t) Hashtbl.t;
-  (* (peer, target, goal key) -> the goals parked there waiting on it *)
-  mutable parked_n : int;
+  mutable timers : Due.t;
+  awaiting : (string, (string * string) list) Hashtbl.t;
+  (* crashed target -> (asker, goal key) of the sub-queries suspended
+     until it restarts, in suspension order *)
   mutable stamp : int;  (* orders parks, wakes and quiescence breaks *)
-  woken : (string, int) Hashtbl.t;  (* peer -> stamp of its last wake *)
   mutable last_break : int;  (* stamp of the last quiescence break *)
-  unwoken : (string, (string * string * string) list) Hashtbl.t;
-  (* peer -> its keys resolved without a wake (deadline withdrawals);
-     their waiters join the peer's next wake *)
   results : (int, Negotiation.outcome) Hashtbl.t;
+  req_owner : (int, string) Hashtbl.t;  (* request id -> requester *)
   mutable next_request : int;
   mutable budget_hit : bool;
   tabling_st : Tabling.t option;  (* present iff [config.tabling] *)
-  (* -------- crash-stop machinery -------- *)
   mutable events : (int * event) list;  (* sorted by tick, stable *)
-  incarnations : (string, int) Hashtbl.t;  (* peer -> current, 0 at boot *)
-  observed_inc : (string * string, int) Hashtbl.t;
-  (* (observer, sender) -> highest incarnation seen from sender *)
-  last_crash : (string, int) Hashtbl.t;  (* peer -> tick of last crash *)
-  snapshots : (string, snapshot) Hashtbl.t;
-  journals : (string, Persist.Journal.t) Hashtbl.t;
-  awaiting : (string, ((string * string * string) * timer) list) Hashtbl.t;
-  (* crashed target -> sub-queries suspended until it restarts *)
-  req_owner : (int, string) Hashtbl.t;  (* request id -> requester *)
 }
 
 type request = int
 
+let new_peer ?snapshot ?journal name =
+  {
+    name;
+    ring = None;
+    parked = Hashtbl.create 8;
+    woken = 0;
+    unwoken = [];
+    subs = Hashtbl.create 16;
+    incarnation = 0;
+    observed = Hashtbl.create 8;
+    crashed_at = min_int;
+    snapshot;
+    journal;
+  }
+
+(* The record of [name]; names outside the session (adversaries, unknown
+   targets) get one on first use, with no snapshot and no journal. *)
+let peer_of t name =
+  match Hashtbl.find_opt t.peers name with
+  | Some st -> st
+  | None ->
+      let st = new_peer name in
+      Hashtbl.replace t.peers name st;
+      st
+
 let create ?(config = default_config) session =
-  if config.rto < 1 then invalid_arg "Reactor.create: rto must be >= 1";
   if config.retry_limit < 0 then
     invalid_arg "Reactor.create: retry_limit must be >= 0";
   (* Detach any synchronous handlers: reactor sessions route everything
@@ -205,29 +242,24 @@ let create ?(config = default_config) session =
             else [ (restart_tick, Ev_restart peer) ]))
     |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  let snapshots = Hashtbl.create 8 in
+  let peers = Hashtbl.create 8 in
   Hashtbl.iter
     (fun name (peer : Peer.t) ->
-      Hashtbl.replace snapshots name
+      let snapshot =
         {
           sn_kb = peer.Peer.kb;
           sn_certs = Hashtbl.copy peer.Peer.certs;
           sn_origins = Hashtbl.copy peer.Peer.origins;
-        })
+        }
+      in
+      let journal =
+        match config.journal with
+        | Journal_off -> None
+        | Journal_memory -> Some (Persist.Journal.in_memory ())
+        | Journal_dir dir -> Some (Persist.Journal.for_peer ~dir ~peer:name)
+      in
+      Hashtbl.replace peers name (new_peer ~snapshot ?journal name))
     session.Session.peers;
-  let journals = Hashtbl.create 8 in
-  (match config.journal with
-  | Journal_off -> ()
-  | Journal_memory ->
-      Hashtbl.iter
-        (fun name _ ->
-          Hashtbl.replace journals name (Persist.Journal.in_memory ()))
-        session.Session.peers
-  | Journal_dir dir ->
-      Hashtbl.iter
-        (fun name _ ->
-          Hashtbl.replace journals name (Persist.Journal.for_peer ~dir ~peer:name))
-        session.Session.peers);
   let t =
     {
       session;
@@ -235,33 +267,20 @@ let create ?(config = default_config) session =
       guard =
         Guard.create ~config:session.Session.config.Session.guard ~verify ();
       adversaries = Hashtbl.create 4;
+      peers;
       dq = Dq.empty;
       next_synth = -1;
-      rings = Hashtbl.create 8;
-      timers = Hashtbl.create 16;
-      pending = Hashtbl.create 64;
-      answers = Hashtbl.create 64;
-      denials = Hashtbl.create 16;
-      parked = Hashtbl.create 16;
-      waiters = Hashtbl.create 64;
-      parked_n = 0;
+      timers = Due.empty;
+      awaiting = Hashtbl.create 8;
       stamp = 0;
-      woken = Hashtbl.create 16;
       last_break = 0;
-      unwoken = Hashtbl.create 4;
       results = Hashtbl.create 8;
+      req_owner = Hashtbl.create 8;
       next_request = 1;
       budget_hit = false;
       tabling_st =
         (if config.tabling then Some (Tabling.create session) else None);
       events;
-      incarnations = Hashtbl.create 8;
-      observed_inc = Hashtbl.create 16;
-      last_crash = Hashtbl.create 8;
-      snapshots;
-      journals;
-      awaiting = Hashtbl.create 8;
-      req_owner = Hashtbl.create 8;
     }
   in
   (* Cross-process recovery: a disk journal left by an earlier process
@@ -270,23 +289,21 @@ let create ?(config = default_config) session =
      ids — but [next_request] moves past them so ids never collide. *)
   (match config.journal with
   | Journal_dir _ ->
-      let names =
-        Hashtbl.fold (fun n _ acc -> n :: acc) journals []
-        |> List.sort String.compare
-      in
-      List.iter
-        (fun name ->
-          match Persist.Journal.entries (Hashtbl.find journals name) with
-          | Ok entries ->
-              Persist.Journal.replay_peer (Session.peer session name) entries;
-              List.iter
-                (function
-                  | Persist.Journal.Goal { id; _ } ->
-                      if id >= t.next_request then t.next_request <- id + 1
-                  | _ -> ())
-                entries
-          | Error _ -> ())
-        names
+      Session.peer_names session
+      |> List.iter (fun name ->
+             match
+               Persist.Journal.entries
+                 (Option.get (Hashtbl.find peers name).journal)
+             with
+             | Ok entries ->
+                 Persist.Journal.replay_peer (Session.peer session name) entries;
+                 List.iter
+                   (function
+                     | Persist.Journal.Goal { id; _ } ->
+                         if id >= t.next_request then t.next_request <- id + 1
+                     | _ -> ())
+                   entries
+             | Error _ -> ())
   | Journal_off | Journal_memory -> ());
   t
 
@@ -327,15 +344,10 @@ let enqueue_synthetic ?trace t ~from ~target payload =
       payload;
     }
 
-let incarnation_of t peer =
-  Option.value ~default:0 (Hashtbl.find_opt t.incarnations peer)
-
-let journal_of t peer = Hashtbl.find_opt t.journals peer
-
 (* Append one durable entry to a peer's journal (a no-op with
    journaling off).  Every append is one checkpoint write. *)
-let jappend t peer entry =
-  match journal_of t peer with
+let jappend st entry =
+  match st.journal with
   | None -> ()
   | Some j ->
       Persist.Journal.append j entry;
@@ -350,16 +362,13 @@ let post ?attempt ?trace t ~from ~target payload =
   let trace = resolve_trace trace in
   match
     Net.Network.post t.session.Session.network ~from ~target ?attempt
-      ~incarnation:(incarnation_of t from) ?trace payload
+      ~incarnation:(peer_of t from).incarnation ?trace payload
   with
   | envelopes -> List.iter (enqueue t) envelopes
   | exception Net.Network.Unreachable _ ->
       let rec unreachable payload =
         match payload with
-        | Net.Message.Query { goal } ->
-            enqueue_synthetic ?trace t ~from:target ~target:from
-              (Net.Message.Deny { goal; reason = "unreachable" })
-        | Net.Message.Tquery { goal; _ } ->
+        | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
             enqueue_synthetic ?trace t ~from:target ~target:from
               (Net.Message.Deny { goal; reason = "unreachable" })
         | Net.Message.Batch payloads -> List.iter unreachable payloads
@@ -385,145 +394,120 @@ let post ?attempt ?trace t ~from ~target payload =
 let resilient t =
   not (Net.Faults.is_none (Net.Network.faults t.session.Session.network))
 
-let arm_timer ?trace ?path t ~peer ~target ~key goal =
-  if resilient t then
-    let pkey = (peer, target, key) in
-    if not (Hashtbl.mem t.timers pkey) then
-      Hashtbl.replace t.timers pkey
+let due st sq tm = (tm.tm_next, st.name, sq.sq_target, sq.sq_key)
+
+let arm t st sq tm =
+  sq.sq_wire <- Armed tm;
+  if resilient t then t.timers <- Due.add (due st sq tm) t.timers
+
+(* Stand an armed sub-query down; a suspended one stays suspended. *)
+let disarm t st sq =
+  match sq.sq_wire with
+  | Armed tm ->
+      t.timers <- Due.remove (due st sq tm) t.timers;
+      sq.sq_wire <- Idle
+  | Idle | Suspended _ -> ()
+
+(* Re-arm [tm] after [attempt] retransmissions. *)
+let rearm t st sq tm ~attempt =
+  disarm t st sq;
+  tm.tm_attempt <- attempt;
+  tm.tm_next <- now t + (rto lsl attempt);
+  arm t st sq tm
+
+let query_payload goal = function
+  | Some path -> Net.Message.Tquery { goal; path }
+  | None -> Net.Message.Query { goal }
+
+let sub_of st ~target key = Hashtbl.find_opt st.subs (target, key)
+
+let sub_for st ~target key =
+  match sub_of st ~target key with
+  | Some sq -> sq
+  | None ->
+      let sq =
         {
-          tm_goal = goal;
-          tm_attempt = 0;
-          tm_rto = t.config.rto;
-          tm_next = now t + t.config.rto;
-          tm_trace = resolve_trace trace;
-          tm_path = path;
+          sq_target = target;
+          sq_key = key;
+          sq_state = Pending;
+          sq_waiters = Hashtbl.create 2;
+          sq_wire = Idle;
         }
+      in
+      Hashtbl.replace st.subs (target, key) sq;
+      sq
 
-(* Consult the answer cache (if configured) for a sub-query; [None] with
-   the cache off. *)
-let cache_find t ~asker ~owner goal =
-  match t.config.cache with
-  | None -> None
-  | Some c -> Answer_cache.find c ~now:(now t) ~asker ~owner goal
-
-(* Send one sub-query whose pending entry the caller has registered: a
-   cache hit short-circuits into a locally synthesized Answer (no
-   envelope, no timer); a miss posts the query and arms its
-   retransmission timer. *)
-let send_query ?trace t ~from ~target ~key goal =
-  match cache_find t ~asker:from ~owner:target goal with
+(* Send [st]'s sub-query [sq] — a Query, or a tabling Tquery when [path]
+   is given.  A cache hit short-circuits into a locally synthesized
+   reply, with no envelope and no timer: an Answer, or a final Tanswer,
+   which is sound because the cache only ever holds completed tables.  A
+   miss posts the query and arms its timer unless one is running. *)
+let send_sub ?trace ?path t st sq goal =
+  let target = sq.sq_target in
+  match
+    Option.bind t.config.cache (fun c ->
+        Answer_cache.find c ~now:(now t) ~asker:st.name ~owner:target goal)
+  with
   | Some a ->
       Otracer.event (Obs.tracer ())
-        (Printf.sprintf "reactor.cache_hit %s -> %s: %s" from target
+        (Printf.sprintf "reactor.cache_hit %s -> %s: %s" st.name target
            (Literal.to_string goal));
-      enqueue_synthetic ?trace t ~from:target ~target:from
-        (Net.Message.Answer
-           {
-             goal;
-             instances = a.Answer_cache.instances;
-             certs = a.Answer_cache.certs;
-           })
-  | None ->
-      post ?trace t ~from ~target (Net.Message.Query { goal });
-      arm_timer ?trace t ~peer:from ~target ~key goal
+      enqueue_synthetic ?trace t ~from:target ~target:st.name
+        (match path with
+        | None ->
+            Net.Message.Answer
+              {
+                goal;
+                instances = a.Answer_cache.instances;
+                certs = a.Answer_cache.certs;
+              }
+        | Some _ ->
+            Net.Message.Tanswer
+              {
+                goal;
+                instances = List.map fst a.Answer_cache.instances;
+                final = true;
+              })
+  | None -> (
+      post ?trace t ~from:st.name ~target (query_payload goal path);
+      match sq.sq_wire with
+      | Armed _ -> ()
+      | Idle | Suspended _ ->
+          arm t st sq
+            {
+              tm_goal = goal;
+              tm_path = path;
+              tm_attempt = 0;
+              tm_next = now t + rto;
+              tm_trace = resolve_trace trace;
+            })
 
-(* Post a sub-query, registering it as pending and arming its
-   retransmission timer. *)
-let post_query ?trace t ~from ~target ~key goal =
-  Hashtbl.add t.pending (from, target, key) (ref false);
-  send_query ?trace t ~from ~target ~key goal
+(* Record a reply to [st]'s sub-query of [goal] at [target] and stand its
+   timer down.  A reply nobody asked for still gets a record, so the
+   sub-query is never posted afterwards. *)
+let resolve t st ~target goal state =
+  let sq = sub_for st ~target (goal_key goal) in
+  (match (state, sq.sq_state) with
+  | Denied _, Answered _ -> ()
+  | _ -> sq.sq_state <- state);
+  disarm t st sq;
+  sq
 
-(* Send a group of fresh sub-queries from one peer (pending entries
-   already registered).  With batching on, cache misses bound for the
-   same target coalesce into one Batch envelope — one envelope of
-   transport accounting for the whole group — while each query keeps its
-   own pending entry and retransmission timer (retries travel
-   individually). *)
-let flush_queries t ~from items =
-  if not t.config.batch then
-    List.iter
-      (fun (target, key, goal) -> send_query t ~from ~target ~key goal)
-      items
-  else
-    let to_send =
-      List.filter
-        (fun (target, key, goal) ->
-          match cache_find t ~asker:from ~owner:target goal with
-          | Some a ->
-              Otracer.event (Obs.tracer ())
-                (Printf.sprintf "reactor.cache_hit %s -> %s: %s" from target
-                   (Literal.to_string goal));
-              enqueue_synthetic t ~from:target ~target:from
-                (Net.Message.Answer
-                   {
-                     goal;
-                     instances = a.Answer_cache.instances;
-                     certs = a.Answer_cache.certs;
-                   });
-              ignore key;
-              false
-          | None -> true)
-        items
-    in
-    let targets =
-      List.sort_uniq String.compare
-        (List.map (fun (target, _, _) -> target) to_send)
-    in
-    List.iter
-      (fun target ->
-        let group =
-          List.filter (fun (tg, _, _) -> String.equal tg target) to_send
-        in
-        (match group with
-        | [ (_, _, goal) ] -> post t ~from ~target (Net.Message.Query { goal })
-        | _ ->
-            post t ~from ~target
-              (Net.Message.Batch
-                 (List.map
-                    (fun (_, _, goal) -> Net.Message.Query { goal })
-                    group)));
-        List.iter
-          (fun (_, key, goal) -> arm_timer t ~peer:from ~target ~key goal)
-          group)
-      targets
-
-let resolve t pkey =
-  (match Hashtbl.find_opt t.pending pkey with
-  | Some resolved -> resolved := true
-  | None -> Hashtbl.add t.pending pkey (ref true));
-  Hashtbl.remove t.timers pkey
-
-(* Put a batch of tabling posts on the wire.  Tqueries get a pending
-   entry (so the guard's solicitation oracle accepts the eventual
-   answers), a cache consult — a hit short-circuits into a synthetic
-   final Tanswer, which is sound because the cache only ever holds
-   completed tables — and a retransmission timer carrying the call path.
-   Everything else (answer pushes, probe traffic) is fire-and-forget:
-   losses are repaired by quiescence healing, not timers. *)
+(* Put a batch of tabling posts on the wire.  Tqueries go through
+   {!send_sub} (a record, so the guard's solicitation oracle accepts the
+   eventual answers, a cache consult and a timer carrying the call
+   path).  Everything else (answer pushes, probe traffic) is
+   fire-and-forget: losses are repaired by quiescence healing, not
+   timers. *)
 let tabling_send ?trace t posts =
   List.iter
     (fun { Tabling.p_from; p_target; p_payload } ->
       match p_payload with
-      | Net.Message.Tquery { goal; path } -> (
-          let key = goal_key goal in
-          let pkey = (p_from, p_target, key) in
-          if not (Hashtbl.mem t.pending pkey) then
-            Hashtbl.add t.pending pkey (ref false);
-          match cache_find t ~asker:p_from ~owner:p_target goal with
-          | Some a ->
-              Otracer.event (Obs.tracer ())
-                (Printf.sprintf "reactor.cache_hit %s -> %s: %s" p_from
-                   p_target (Literal.to_string goal));
-              enqueue_synthetic ?trace t ~from:p_target ~target:p_from
-                (Net.Message.Tanswer
-                   {
-                     goal;
-                     instances = List.map fst a.Answer_cache.instances;
-                     final = true;
-                   })
-          | None ->
-              post ?trace t ~from:p_from ~target:p_target p_payload;
-              arm_timer ?trace ~path t ~peer:p_from ~target:p_target ~key goal)
+      | Net.Message.Tquery { goal; path } ->
+          let st = peer_of t p_from in
+          send_sub ?trace ~path t st
+            (sub_for st ~target:p_target (goal_key goal))
+            goal
       | _ -> post ?trace t ~from:p_from ~target:p_target p_payload)
     posts
 
@@ -531,36 +515,23 @@ let with_tabling t f =
   match t.tabling_st with None -> () | Some tb -> tabling_send t (f tb)
 
 (* Evaluate a goal at a peer with a collecting remote callback; either
-   respond (true) or report the blocked sub-goals (false).  Work is done
-   on [requester]'s behalf: each inner solve is capped at the
-   requester's unspent guard quota and the steps actually burnt are
+   respond (true) or report the sub-queries it is blocked on (false).
+   Work is done on [requester]'s behalf: each inner solve is capped at
+   the requester's unspent guard quota and the steps it spent are
    charged against it. *)
-let evaluate_goal t peer ~requester goal ~respond =
+let evaluate_goal t st peer ~requester goal ~respond =
   let blocked = ref [] in
   let collector ~target lit =
     blocked := (target, lit) :: !blocked;
     []
   in
-  let answer () =
-    let remaining =
-      Guard.remaining_work t.guard ~from:requester ~target:peer.Peer.name
-    in
-    if remaining = max_int then
-      Engine.answer ~remote:collector t.session peer ~requester goal
-    else begin
-      let saved = peer.Peer.options in
-      peer.Peer.options <-
-        { saved with Sld.max_steps = min remaining saved.Sld.max_steps };
-      let before = Metric.value m_sld_steps in
-      Fun.protect
-        ~finally:(fun () ->
-          peer.Peer.options <- saved;
-          Guard.charge_work t.guard ~from:requester ~target:peer.Peer.name
-            (Metric.value m_sld_steps - before))
-        (fun () -> Engine.answer ~remote:collector t.session peer ~requester goal)
-    end
+  let result, steps =
+    Engine.answer_stats ~remote:collector
+      ~max_steps:(Guard.remaining_work t.guard ~from:requester ~target:st.name)
+      t.session peer ~requester goal
   in
-  match answer () with
+  Guard.charge_work t.guard ~from:requester ~target:st.name steps;
+  match result with
   | Ok (instances, certs) ->
       respond (Net.Message.Answer { goal; instances; certs });
       `Settled
@@ -569,22 +540,18 @@ let evaluate_goal t peer ~requester goal ~respond =
         List.sort_uniq compare
           (List.map (fun (tg, lit) -> (tg, goal_key lit, lit)) !blocked)
       in
-      let fresh = ref [] in
       let waiting =
         List.filter_map
           (fun (target, key, lit) ->
-            let pkey = (peer.Peer.name, target, key) in
-            match Hashtbl.find_opt t.pending pkey with
-            | Some resolved -> if !resolved then None else Some (target, key)
+            match sub_of st ~target key with
+            | Some ({ sq_state = Pending; _ } as sq) -> Some sq
+            | Some _ -> None
             | None ->
-                (* Register before sending so a later variant of the same
-                   goal in [pairs] is not posted twice. *)
-                Hashtbl.add t.pending pkey (ref false);
-                fresh := (target, key, lit) :: !fresh;
-                Some (target, key))
+                let sq = sub_for st ~target key in
+                send_sub t st sq lit;
+                Some sq)
           pairs
       in
-      flush_queries t ~from:peer.Peer.name (List.rev !fresh);
       if waiting = [] then begin
         respond (Net.Message.Deny { goal; reason });
         `Settled
@@ -596,15 +563,15 @@ let evaluate_goal t peer ~requester goal ~respond =
    their Goal/Done pairs (and without duplicate knowledge entries). *)
 let compact_after = 8
 
-let maybe_compact t owner =
-  match journal_of t owner with
+let maybe_compact st =
+  match st.journal with
   | None -> ()
   | Some j -> (
       match Persist.Journal.compact ~after:compact_after j with
       | None -> ()
       | Some live ->
           Otracer.event (Obs.tracer ())
-            (Printf.sprintf "reactor.compact %s journal -> %d entries" owner
+            (Printf.sprintf "reactor.compact %s journal -> %d entries" st.name
                live))
 
 let settle_request t id outcome =
@@ -613,8 +580,9 @@ let settle_request t id outcome =
     match Hashtbl.find_opt t.req_owner id with
     | None -> ()
     | Some owner ->
-        jappend t owner (Persist.Journal.Done { id });
-        maybe_compact t owner
+        let st = peer_of t owner in
+        jappend st (Persist.Journal.Done { id });
+        maybe_compact st
   end
 
 (* A transport-level denial (injected by the resilience machinery, not
@@ -624,21 +592,20 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.equal (String.sub s 0 (String.length prefix)) prefix
 
-let denial_reason t ~target pkey =
-  match Hashtbl.find_opt t.denials pkey with
-  | Some (( "timeout" | "unreachable" | "quarantined" | "rate-limited"
-          | "quota" | "crashed" ) as structured) ->
+let denial_reason ~target = function
+  | ( "timeout" | "unreachable" | "quarantined" | "rate-limited" | "quota"
+    | "crashed" ) as structured ->
       Printf.sprintf "%s: %s" structured target
-  | Some reason when has_prefix ~prefix:"unsupported" reason ->
+  | reason when has_prefix ~prefix:"unsupported" reason ->
       (* A tabled evaluation hit a feature outside its fragment (NAF);
          keep the reason so {!Negotiation.classify_denial} sees it. *)
       reason
-  | Some _ | None -> "denied by target"
+  | _ -> "denied by target"
 
 (* ------------------------------------------------------------------ *)
-(* Parked goals.  Each one sits in its peer's table and, for every
-   sub-query it awaits, in that key's waiter table; a delivery that
-   resolves a key wakes just the key's waiters.
+(* Parked goals.  Each one sits in its peer's table and in the waiter
+   table of every sub-query it awaits; a delivery that resolves a
+   sub-query wakes just its waiters.
 
    Every wake stamps the peer, and the order the goals are retried and
    broken in is a function of those stamps: within a peer, goals parked
@@ -651,24 +618,12 @@ let next_stamp t =
   t.stamp <- t.stamp + 1;
   t.stamp
 
-let peer_table t name =
-  match Hashtbl.find_opt t.parked name with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.parked name tbl;
-      tbl
-
 let goals_of tbl = Hashtbl.fold (fun _ p acc -> p :: acc) tbl []
 
-let parked_at t name =
-  match Hashtbl.find_opt t.parked name with
-  | Some tbl -> goals_of tbl
-  | None -> []
-
 let all_parked t =
-  Hashtbl.fold (fun _ tbl acc -> Hashtbl.fold (fun _ p a -> p :: a) tbl acc)
-    t.parked []
+  Hashtbl.fold
+    (fun _ st acc -> Hashtbl.fold (fun _ p a -> p :: a) st.parked acc)
+    t.peers []
 
 (* Retry order within one peer (ascending). *)
 let peer_rank t p =
@@ -680,122 +635,93 @@ let in_peer_order t ps =
 
 (* Recency across peers (descending): park or last wake, whichever is
    later, ties within a peer to the newer goal. *)
-let recency t p =
-  let woken = Option.value ~default:0 (Hashtbl.find_opt t.woken p.pk_peer) in
-  (max p.pk_seq woken, p.pk_seq)
+let recency t p = (max p.pk_seq (peer_of t p.pk_peer).woken, p.pk_seq)
 
-let register t p =
-  List.iter
-    (fun (target, key) ->
-      let pkey = (p.pk_peer, target, key) in
-      let tbl =
-        match Hashtbl.find_opt t.waiters pkey with
-        | Some tbl -> tbl
-        | None ->
-            let tbl = Hashtbl.create 2 in
-            Hashtbl.replace t.waiters pkey tbl;
-            tbl
-      in
-      Hashtbl.replace tbl p.pk_seq p)
-    p.pk_waiting
+let register p =
+  List.iter (fun sq -> Hashtbl.replace sq.sq_waiters p.pk_seq p) p.pk_waiting
 
-let unregister t p =
-  List.iter
-    (fun (target, key) ->
-      let pkey = (p.pk_peer, target, key) in
-      match Hashtbl.find_opt t.waiters pkey with
-      | Some tbl ->
-          Hashtbl.remove tbl p.pk_seq;
-          if Hashtbl.length tbl = 0 then Hashtbl.remove t.waiters pkey
-      | None -> ())
-    p.pk_waiting
+let unregister p =
+  List.iter (fun sq -> Hashtbl.remove sq.sq_waiters p.pk_seq) p.pk_waiting
 
-let park t p =
-  Hashtbl.replace (peer_table t p.pk_peer) p.pk_seq p;
-  register t p;
-  t.parked_n <- t.parked_n + 1
+let park st p =
+  Hashtbl.replace st.parked p.pk_seq p;
+  register p
 
-let unpark t p =
-  match Hashtbl.find_opt t.parked p.pk_peer with
-  | Some tbl when Hashtbl.mem tbl p.pk_seq ->
-      Hashtbl.remove tbl p.pk_seq;
-      unregister t p;
-      t.parked_n <- t.parked_n - 1
-  | Some _ | None -> ()
-
-let waiters_of t pkey =
-  match Hashtbl.find_opt t.waiters pkey with
-  | Some tbl -> goals_of tbl
-  | None -> []
+let unpark st p =
+  if Hashtbl.mem st.parked p.pk_seq then begin
+    Hashtbl.remove st.parked p.pk_seq;
+    unregister p
+  end
 
 (* Try to settle one parked goal; [true] when it is resolved.  A goal
    that stays parked is re-registered under what it now awaits. *)
-let try_settle t p =
+let try_settle t st p =
   let peer = Session.peer t.session p.pk_peer in
   match p.pk_request with
   | Some id -> (
       (* Top-level: resolved by its single sub-query. *)
       match p.pk_waiting with
-      | [ (target, key) ] -> (
-          let pkey = (p.pk_peer, target, key) in
-          match Hashtbl.find_opt t.pending pkey with
-          | Some { contents = true } ->
-              (match Hashtbl.find_opt t.answers pkey with
-              | Some instances -> settle_request t id (Negotiation.Granted instances)
-              | None ->
-                  settle_request t id
-                    (Negotiation.Denied (denial_reason t ~target pkey)));
+      | [ sq ] -> (
+          match sq.sq_state with
+          | Pending -> false
+          | Answered instances ->
+              settle_request t id (Negotiation.Granted instances);
               true
-          | Some _ | None -> false)
+          | Denied reason ->
+              settle_request t id
+                (Negotiation.Denied (denial_reason ~target:sq.sq_target reason));
+              true)
       | _ -> false)
   | None -> (
       let respond payload =
         post t ~from:p.pk_peer ~target:p.pk_requester payload
       in
-      match evaluate_goal t peer ~requester:p.pk_requester p.pk_goal ~respond with
+      match
+        evaluate_goal t st peer ~requester:p.pk_requester p.pk_goal ~respond
+      with
       | `Settled -> true
       | `Parked waiting ->
-          unregister t p;
+          unregister p;
           p.pk_waiting <- waiting;
-          register t p;
+          register p;
           false)
 
-(* A delivery to [peer_name] can unblock goals parked there: an answer
-   or denial for [`Key pkey] unblocks the goals waiting on that key; a
-   disclosure ([`All]) adds knowledge without resolving any key, so it
-   retries every goal parked at the peer.  Keys resolved without a wake
-   since the last one join in. *)
-let wake t peer_name scope =
-  Hashtbl.replace t.woken peer_name (next_stamp t);
+(* A delivery to [st] can unblock goals parked there: an answer or
+   denial for [`Sub sq] unblocks the goals waiting on that sub-query; a
+   disclosure ([`All]) adds knowledge without resolving any, so it
+   retries every goal parked at the peer.  Sub-queries resolved without
+   a wake since the last one join in. *)
+let wake t st scope =
+  st.woken <- next_stamp t;
   let due =
     match scope with
-    | `Key pkey -> waiters_of t pkey
-    | `All -> parked_at t peer_name
+    | `Sub sq -> goals_of sq.sq_waiters
+    | `All -> goals_of st.parked
   in
   let due =
-    match Hashtbl.find_opt t.unwoken peer_name with
-    | None -> due
-    | Some keys ->
-        Hashtbl.remove t.unwoken peer_name;
-        List.concat_map (waiters_of t) keys @ due
+    match st.unwoken with
+    | [] -> due
+    | subs ->
+        st.unwoken <- [];
+        List.concat_map (fun sq -> goals_of sq.sq_waiters) subs @ due
   in
   List.iter
-    (fun p -> if try_settle t p then unpark t p)
+    (fun p -> if try_settle t st p then unpark st p)
     (in_peer_order t due)
 
-let handle_query t peer ~from goal =
-  let respond payload = post t ~from:peer.Peer.name ~target:from payload in
-  match evaluate_goal t peer ~requester:from goal ~respond with
+let handle_query t st peer ~from goal =
+  let respond payload = post t ~from:st.name ~target:from payload in
+  match evaluate_goal t st peer ~requester:from goal ~respond with
   | `Settled -> ()
   | `Parked waiting ->
       Metric.incr m_parks;
       Log.debug (fun m ->
-          m "%s parks %s for %s (%d sub-quer%s outstanding)" peer.Peer.name
+          m "%s parks %s for %s (%d sub-quer%s outstanding)" st.name
             (Literal.to_string goal) from (List.length waiting)
             (if List.length waiting = 1 then "y" else "ies"));
-      park t
+      park st
         {
-          pk_peer = peer.Peer.name;
+          pk_peer = st.name;
           pk_requester = from;
           pk_goal = goal;
           pk_waiting = waiting;
@@ -807,7 +733,7 @@ let handle_query t peer ~from goal =
    already hold and that survived verification — checked against the
    wallet before and after so replaying the journal can never learn a
    certificate twice. *)
-let learn_certs t (peer : Peer.t) ~from certs =
+let learn_certs t st (peer : Peer.t) ~from certs =
   let ckey (c : Peertrust_crypto.Cert.t) =
     Rule.canonical c.Peertrust_crypto.Cert.rule
   in
@@ -818,17 +744,18 @@ let learn_certs t (peer : Peer.t) ~from certs =
   List.iter
     (fun c ->
       if Hashtbl.mem peer.Peer.certs (ckey c) then
-        jappend t peer.Peer.name (Persist.Journal.Cert c))
+        jappend st (Persist.Journal.Cert c))
     fresh
 
 let rec dispatch t ~synthetic (from, target, payload) =
   match Hashtbl.find_opt t.session.Session.peers target with
   | None -> ()
   | Some peer -> (
+      let st = peer_of t target in
       match payload with
-      | Net.Message.Query { goal } -> handle_query t peer ~from goal
+      | Net.Message.Query { goal } -> handle_query t st peer ~from goal
       | Net.Message.Answer { goal; instances; certs } ->
-          learn_certs t peer ~from certs;
+          learn_certs t st peer ~from certs;
           List.iter
             (fun ((inst : Literal.t), _) ->
               if Literal.is_ground inst then begin
@@ -836,7 +763,7 @@ let rec dispatch t ~synthetic (from, target, payload) =
                   Rule.fact (Literal.push_authority inst (Term.str from))
                 in
                 if not (Kb.mem r peer.Peer.kb) then
-                  jappend t target (Persist.Journal.Fact r);
+                  jappend st (Persist.Journal.Fact r);
                 Peer.add_rule peer r
               end)
             instances;
@@ -848,23 +775,16 @@ let rec dispatch t ~synthetic (from, target, payload) =
                 goal
                 { Answer_cache.instances; certs }
           | Some _ | None -> ());
-          let pkey = (target, from, goal_key goal) in
-          Hashtbl.replace t.answers pkey instances;
-          resolve t pkey;
-          wake t target (`Key pkey)
+          wake t st (`Sub (resolve t st ~target:from goal (Answered instances)))
       | Net.Message.Deny { goal; reason } ->
           (* When tabling is on, a denial may kill a table's dependency
              view; the failure cascades to the view's dependent tables. *)
           with_tabling t (fun tb ->
               Tabling.handle_deny tb ~consumer:target ~from goal reason);
-          let pkey = (target, from, goal_key goal) in
-          if not (Hashtbl.mem t.answers pkey) then
-            Hashtbl.replace t.denials pkey reason;
-          resolve t pkey;
-          wake t target (`Key pkey)
+          wake t st (`Sub (resolve t st ~target:from goal (Denied reason)))
       | Net.Message.Disclosure { certs; _ } ->
-          learn_certs t peer ~from certs;
-          wake t target `All
+          learn_certs t st peer ~from certs;
+          wake t st `All
       | Net.Message.Cancel { goal } ->
           (* The requester withdrew this goal (deadline expiry): drop
              the work parked on its behalf; sub-queries the evaluation
@@ -877,13 +797,13 @@ let rec dispatch t ~synthetic (from, target, payload) =
                 && String.equal p.pk_requester from
                 && String.equal (goal_key p.pk_goal) key
               then begin
-                unpark t p;
+                unpark st p;
                 Metric.incr m_cancelled_goals;
                 Otracer.event (Obs.tracer ())
                   (Printf.sprintf "reactor.cancelled %s withdraws %s at %s"
                      from key target)
               end)
-            (parked_at t target)
+            (goals_of st.parked)
       | Net.Message.Batch payloads ->
           List.iter (fun p -> dispatch t ~synthetic (from, target, p)) payloads
       | Net.Message.Ack -> ()
@@ -898,7 +818,6 @@ let rec dispatch t ~synthetic (from, target, payload) =
           with_tabling t (fun tb ->
               Tabling.handle_answer tb ~consumer:target ~from goal instances
                 ~final);
-          let pkey = (target, from, goal_key goal) in
           if final then begin
             (* Only completed tables reach the cache: the [completed]
                gate makes a premature (still-in-SCC) store impossible. *)
@@ -912,18 +831,16 @@ let rec dispatch t ~synthetic (from, target, payload) =
                     certs = [];
                   }
             | Some _ | None -> ());
-            jappend t target
+            jappend st
               (Persist.Journal.Answer { owner = from; goal; instances });
-            Hashtbl.replace t.answers pkey
-              (List.map (fun i -> (i, None)) instances);
-            resolve t pkey;
-            wake t target (`Key pkey)
+            let answered = Answered (List.map (fun i -> (i, None)) instances) in
+            wake t st (`Sub (resolve t st ~target:from goal answered))
           end
           else
             (* A non-final push proves the link is alive — stand the
                retransmission timer down, but keep the request pending
                until the table completes. *)
-            Hashtbl.remove t.timers pkey
+            Option.iter (disarm t st) (sub_of st ~target:from (goal_key goal))
       | Net.Message.Tprobe { leader; epoch; members } ->
           with_tabling t (fun tb ->
               Tabling.handle_probe tb ~peer:target ~from
@@ -950,32 +867,26 @@ let insert_event t tick ev =
    shared by {!submit} and crash recovery, which re-launches a goal
    recovered from the journal under its original id. *)
 let launch_root ?trace t ~id ~requester ~target goal =
+  let st = peer_of t requester in
   let key = goal_key goal in
+  let asked = Option.is_some (sub_of st ~target key) in
+  let sq = sub_for st ~target key in
   (match t.tabling_st with
   | Some tb ->
       Tabling.register_root tb ~consumer:requester ~owner:target goal;
-      tabling_send ?trace t
-        [
-          {
-            Tabling.p_from = requester;
-            p_target = target;
-            p_payload = Net.Message.Tquery { goal; path = [] };
-          };
-        ]
-  | None ->
-      if not (Hashtbl.mem t.pending (requester, target, key)) then
-        post_query ?trace t ~from:requester ~target ~key goal);
+      send_sub ?trace ~path:[] t st sq goal
+  | None -> if not asked then send_sub ?trace t st sq goal);
   let p =
     {
       pk_peer = requester;
       pk_requester = requester;
       pk_goal = goal;
-      pk_waiting = [ (target, key) ];
+      pk_waiting = [ sq ];
       pk_request = Some id;
       pk_seq = next_stamp t;
     }
   in
-  if not (try_settle t p) then park t p
+  if not (try_settle t st p) then park st p
 
 let submit ?deadline t ~requester ~target goal =
   let id = t.next_request in
@@ -1015,7 +926,7 @@ let submit ?deadline t ~requester ~target goal =
   in
   (* The accepted goal is the journal's recovery anchor: a restart
      re-launches every Goal entry with no matching Done. *)
-  jappend t requester (Persist.Journal.Goal { id; target; goal });
+  jappend (peer_of t requester) (Persist.Journal.Goal { id; target; goal });
   Option.iter
     (fun tick ->
       if tick < 0 then invalid_arg "Reactor.submit: deadline must be >= 0";
@@ -1026,14 +937,6 @@ let submit ?deadline t ~requester ~target goal =
 
 (* ------------------------------------------------------------------ *)
 (* Event loop: deliveries and retransmission timers on one timeline *)
-
-let next_timer t =
-  Hashtbl.fold
-    (fun key tm acc ->
-      match acc with
-      | Some (bt, bk, _) when (bt, bk) <= (tm.tm_next, key) -> acc
-      | Some _ | None -> Some (tm.tm_next, key, tm))
-    t.timers None
 
 let clock_to t tick =
   Net.Clock.advance_to (Net.Network.clock t.session.Session.network) tick
@@ -1048,7 +951,10 @@ let restart_upcoming t name =
    timeout denial; against a crashed target it is a [crashed] denial —
    unless a restart is scheduled, in which case the sub-query is
    suspended and reissued the moment the target comes back. *)
-let fire_timer t ((peer, target, _key) as pkey) tm =
+let fire_timer t (_, asker, target, key) =
+  let st = peer_of t asker in
+  let sq = Hashtbl.find st.subs (target, key) in
+  let tm = match sq.sq_wire with Armed tm -> tm | Idle | Suspended _ -> assert false in
   clock_to t tm.tm_next;
   (* Timer work runs outside any negotiation span, so the captured
      context re-attaches it to the originating trace; the retransmit
@@ -1059,7 +965,7 @@ let fire_timer t ((peer, target, _key) as pkey) tm =
       Otracer.with_span tracer ?ctx:tm.tm_trace
         ~attrs:
           [
-            ("peer", Ojson.Str peer);
+            ("peer", Ojson.Str asker);
             ("target", Ojson.Str target);
             ("goal", Ojson.Str (goal_key tm.tm_goal));
             ("attempt", Ojson.Int tm.tm_attempt);
@@ -1068,27 +974,21 @@ let fire_timer t ((peer, target, _key) as pkey) tm =
     else body ()
   in
   if tm.tm_attempt < t.config.retry_limit then begin
-    tm.tm_attempt <- tm.tm_attempt + 1;
-    tm.tm_rto <- tm.tm_rto * 2;
-    tm.tm_next <- now t + tm.tm_rto;
+    rearm t st sq tm ~attempt:(tm.tm_attempt + 1);
     Metric.incr m_retries;
     Log.debug (fun m ->
-        m "retry #%d %s -> %s: %s" tm.tm_attempt peer target
+        m "retry #%d %s -> %s: %s" tm.tm_attempt asker target
           (Literal.to_string tm.tm_goal));
     in_span "reactor.retry" (fun () ->
         Otracer.event (Obs.tracer ())
-          (Printf.sprintf "reactor.retry #%d %s -> %s: %s" tm.tm_attempt peer
+          (Printf.sprintf "reactor.retry #%d %s -> %s: %s" tm.tm_attempt asker
              target
              (Literal.to_string tm.tm_goal));
-        let payload =
-          match tm.tm_path with
-          | Some path -> Net.Message.Tquery { goal = tm.tm_goal; path }
-          | None -> Net.Message.Query { goal = tm.tm_goal }
-        in
-        post ~attempt:tm.tm_attempt t ~from:peer ~target payload)
+        post ~attempt:tm.tm_attempt t ~from:asker ~target
+          (query_payload tm.tm_goal tm.tm_path))
   end
   else begin
-    Hashtbl.remove t.timers pkey;
+    disarm t st sq;
     Metric.incr m_timeouts;
     let crashed =
       Net.Faults.in_crash
@@ -1097,31 +997,32 @@ let fire_timer t ((peer, target, _key) as pkey) tm =
     in
     if crashed && restart_upcoming t target then begin
       Log.debug (fun m ->
-          m "suspend %s -> %s: %s (awaiting restart)" peer target
+          m "suspend %s -> %s: %s (awaiting restart)" asker target
             (Literal.to_string tm.tm_goal));
       in_span "reactor.timeout" (fun () ->
           Otracer.event (Obs.tracer ())
             (Printf.sprintf
                "reactor.timeout %s -> %s: %s (suspended awaiting restart)"
-               peer target
+               asker target
                (Literal.to_string tm.tm_goal)));
+      sq.sq_wire <- Suspended tm;
       let prev =
         Option.value ~default:[] (Hashtbl.find_opt t.awaiting target)
       in
-      Hashtbl.replace t.awaiting target (prev @ [ (pkey, tm) ])
+      Hashtbl.replace t.awaiting target (prev @ [ (asker, key) ])
     end
     else begin
       let reason = if crashed then "crashed" else "timeout" in
       Log.debug (fun m ->
-          m "%s %s -> %s: %s" reason peer target
+          m "%s %s -> %s: %s" reason asker target
             (Literal.to_string tm.tm_goal));
       in_span "reactor.timeout" (fun () ->
           Otracer.event (Obs.tracer ())
             (Printf.sprintf "reactor.%s %s -> %s: %s (after %d retries)"
-               reason peer target
+               reason asker target
                (Literal.to_string tm.tm_goal)
                tm.tm_attempt);
-          enqueue_synthetic t ~from:target ~target:peer
+          enqueue_synthetic t ~from:target ~target:asker
             (Net.Message.Deny { goal = tm.tm_goal; reason }))
     end
   end
@@ -1129,9 +1030,10 @@ let fire_timer t ((peer, target, _key) as pkey) tm =
 (* The guard's solicitation oracle: does [target] have this sub-query
    outstanding toward [from]? *)
 let solicited_by t ~from ~target goal =
-  match Hashtbl.find_opt t.pending (target, from, goal_key goal) with
+  match sub_of (peer_of t target) ~target:from (goal_key goal) with
   | None -> `Unknown
-  | Some resolved -> if !resolved then `Resolved else `Outstanding
+  | Some { sq_state = Pending; _ } -> `Outstanding
+  | Some _ -> `Resolved
 
 (* A rejected query still owes its sender a reply — the honest reading
    of a rejection is a denial, and an honest requester that trips a
@@ -1141,9 +1043,7 @@ let solicited_by t ~from ~target goal =
 let reject_payload t ~from ~target violation payload =
   let reason = Guard.denial_reason violation in
   let rec deny = function
-    | Net.Message.Query { goal } ->
-        post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
-    | Net.Message.Tquery { goal; _ } ->
+    | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
         post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
     | Net.Message.Batch payloads -> List.iter deny payloads
     | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
@@ -1176,36 +1076,38 @@ let payload_goal = function
   | Net.Message.Tcomplete _ ->
       None
 
-let ring_of t target =
-  match Hashtbl.find_opt t.rings target with
+let ring_of st =
+  match st.ring with
   | Some r -> r
   | None ->
-      let r = Net.Dedup.create ~cap:t.config.dedup_cap in
-      Hashtbl.replace t.rings target r;
+      let r = Net.Dedup.create ~cap:dedup_cap in
+      st.ring <- Some r;
       r
 
-(* Incarnation hygiene for an envelope that travelled the wire: discard
-   anything sent by an incarnation that has since crashed (its sender
-   died after posting), and anything stamped with a lower incarnation
-   than the receiver has already observed from that sender. *)
-let stale_incarnation t (env : Net.Envelope.t) =
-  match Hashtbl.find_opt t.last_crash env.Net.Envelope.from_ with
-  | Some ct when env.Net.Envelope.sent_at < ct -> true
+(* Incarnation hygiene for an envelope that travelled the wire to [st]:
+   discard anything sent by an incarnation that has since crashed (its
+   sender died after posting), and anything stamped with a lower
+   incarnation than the receiver has already observed from that
+   sender. *)
+let stale_incarnation t st (env : Net.Envelope.t) =
+  let from = env.Net.Envelope.from_ in
+  match Hashtbl.find_opt t.peers from with
+  | Some sender when env.Net.Envelope.sent_at < sender.crashed_at -> true
   | Some _ | None ->
-      let okey = (env.Net.Envelope.target, env.Net.Envelope.from_) in
       let observed =
-        Option.value ~default:0 (Hashtbl.find_opt t.observed_inc okey)
+        Option.value ~default:0 (Hashtbl.find_opt st.observed from)
       in
       if env.Net.Envelope.incarnation < observed then true
       else begin
         if env.Net.Envelope.incarnation > observed then
-          Hashtbl.replace t.observed_inc okey env.Net.Envelope.incarnation;
+          Hashtbl.replace st.observed from env.Net.Envelope.incarnation;
         false
       end
 
 let deliver_envelope t env =
   clock_to t env.Net.Envelope.deliver_at;
   let wire = env.Net.Envelope.id >= 0 in
+  let st = peer_of t env.Net.Envelope.target in
   if
     wire
     && Net.Faults.in_crash
@@ -1218,20 +1120,19 @@ let deliver_envelope t env =
     Otracer.event (Obs.tracer ())
       (Printf.sprintf "reactor.crash_drop %s" (Net.Envelope.summary env))
   end
-  else if wire && stale_incarnation t env then begin
+  else if wire && stale_incarnation t st env then begin
     Metric.incr m_stale_epoch;
     Otracer.event (Obs.tracer ())
       (Printf.sprintf "reactor.stale_epoch %s" (Net.Envelope.summary env))
   end
-  else if Net.Dedup.mem (ring_of t env.Net.Envelope.target) env.Net.Envelope.id
-  then begin
+  else if Net.Dedup.mem (ring_of st) env.Net.Envelope.id then begin
     Metric.incr m_dup_deliveries;
     Otracer.event (Obs.tracer ())
       (Printf.sprintf "reactor.duplicate %s" (Net.Envelope.summary env))
   end
   else begin
-    if Net.Dedup.add (ring_of t env.Net.Envelope.target) env.Net.Envelope.id
-    then Metric.incr m_dedup_evictions;
+    if Net.Dedup.add (ring_of st) env.Net.Envelope.id then
+      Metric.incr m_dedup_evictions;
     let from = env.Net.Envelope.from_ in
     let target = env.Net.Envelope.target in
     let payload = env.Net.Envelope.payload in
@@ -1307,16 +1208,15 @@ let deliver_envelope t env =
 (* ------------------------------------------------------------------ *)
 (* Crash-stop: scheduled crash, restart and deadline events *)
 
-let journaling t = t.config.journal <> Journal_off
-
 (* Wipe everything volatile a crash-stop destroys at [name]: in-flight
    deliveries addressed to it, its own outstanding sub-queries, parked
    goals, dedup ring, guard admission state, cached answers, tables —
    and roll its knowledge back to the boot snapshot.  The journal (held
    by the reactor, standing in for a synced disk) survives. *)
 let crash_peer t name =
+  let st = peer_of t name in
   Metric.incr m_crashes;
-  Hashtbl.replace t.last_crash name (now t);
+  st.crashed_at <- now t;
   Otracer.event (Obs.tracer ())
     (Printf.sprintf "reactor.crash %s @%d" name (now t));
   Log.debug (fun m -> m "%s crashes at %d" name (now t));
@@ -1336,20 +1236,9 @@ let crash_peer t name =
       t.dq <- Dq.remove k t.dq;
       if wire then Metric.incr m_stale_epoch)
     doomed;
-  let drop_mine tbl =
-    let stale =
-      Hashtbl.fold
-        (fun ((p, _, _) as k) _ acc ->
-          if String.equal p name then k :: acc else acc)
-        tbl []
-    in
-    List.iter (Hashtbl.remove tbl) stale
-  in
-  drop_mine t.timers;
-  drop_mine t.pending;
-  drop_mine t.answers;
-  drop_mine t.denials;
-  Hashtbl.remove t.rings name;
+  Hashtbl.iter (fun _ sq -> disarm t st sq) st.subs;
+  Hashtbl.reset st.subs;
+  st.ring <- None;
   Guard.reset_peer t.guard name;
   (match t.config.cache with
   | Some c ->
@@ -1357,19 +1246,20 @@ let crash_peer t name =
       ignore (Answer_cache.invalidate_owner c name : int)
   | None -> ());
   (match t.tabling_st with Some tb -> Tabling.crash tb name | None -> ());
-  let mine = in_peer_order t (parked_at t name) in
-  List.iter (unpark t) mine;
-  Hashtbl.remove t.unwoken name;
+  let mine = in_peer_order t (goals_of st.parked) in
+  Hashtbl.clear st.parked;
+  st.unwoken <- [];
   List.iter
     (fun p ->
       match p.pk_request with
-      | Some _ when journaling t && restart_upcoming t name ->
+      | Some _ when t.config.journal <> Journal_off && restart_upcoming t name
+        ->
           (* the journal's Goal entry re-launches it at restart *)
           ()
       | Some id -> settle_request t id (Negotiation.Denied "peer crashed")
       | None -> ())
     mine;
-  match Hashtbl.find_opt t.snapshots name with
+  match st.snapshot with
   | Some sn ->
       let peer = Session.peer t.session name in
       peer.Peer.kb <- sn.sn_kb;
@@ -1381,16 +1271,17 @@ let crash_peer t name =
 
 (* A restart brings the peer back under a bumped incarnation: replay the
    journal (knowledge first, then unfinished root goals), then reissue
-   the sub-queries counterparties had suspended awaiting the restart. *)
+   the sub-queries counterparties had suspended awaiting the restart —
+   looked up by key, so one whose asker has crashed since is gone. *)
 let restart_peer t name =
+  let st = peer_of t name in
   Metric.incr m_restarts;
-  let inc = incarnation_of t name + 1 in
-  Hashtbl.replace t.incarnations name inc;
+  st.incarnation <- st.incarnation + 1;
   Otracer.event (Obs.tracer ())
-    (Printf.sprintf "reactor.restart %s (incarnation %d)" name inc);
+    (Printf.sprintf "reactor.restart %s (incarnation %d)" name st.incarnation);
   Log.debug (fun m ->
-      m "%s restarts at %d (incarnation %d)" name (now t) inc);
-  (match journal_of t name with
+      m "%s restarts at %d (incarnation %d)" name (now t) st.incarnation);
+  (match st.journal with
   | None -> ()
   | Some j -> (
       match Persist.Journal.entries j with
@@ -1436,70 +1327,64 @@ let restart_peer t name =
   | Some suspended ->
       Hashtbl.remove t.awaiting name;
       List.iter
-        (fun (((peer, target, _) as pkey), tm) ->
-          match Hashtbl.find_opt t.pending pkey with
-          | Some { contents = false } ->
+        (fun (asker, key) ->
+          let ast = peer_of t asker in
+          match sub_of ast ~target:name key with
+          | Some ({ sq_state = Pending; sq_wire = Suspended tm; _ } as sq) ->
               Metric.incr m_reissued;
               Otracer.event (Obs.tracer ())
-                (Printf.sprintf "reactor.reissue %s -> %s: %s" peer target
+                (Printf.sprintf "reactor.reissue %s -> %s: %s" asker name
                    (Literal.to_string tm.tm_goal));
-              tm.tm_attempt <- 0;
-              tm.tm_rto <- t.config.rto;
-              tm.tm_next <- now t + t.config.rto;
-              Hashtbl.replace t.timers pkey tm;
-              let payload =
-                match tm.tm_path with
-                | Some path ->
-                    Net.Message.Tquery { goal = tm.tm_goal; path }
-                | None -> Net.Message.Query { goal = tm.tm_goal }
-              in
-              post ?trace:tm.tm_trace t ~from:peer ~target payload
+              rearm t ast sq tm ~attempt:0;
+              post ?trace:tm.tm_trace t ~from:asker ~target:name
+                (query_payload tm.tm_goal tm.tm_path)
           | Some _ | None -> ())
         suspended
 
 (* The requester's deadline passed with the request unsettled: deny it
    and withdraw its outstanding sub-queries with Cancel messages so
-   counterparties drop the parked work. *)
+   counterparties drop the parked work.  Outstanding means armed: a
+   sub-query answered from the cache, pushed by a still-open table or
+   suspended awaiting a restart is not on the wire (the suspended ones
+   are dropped from the restart's reissue instead). *)
 let expire_deadline t id =
   if not (Hashtbl.mem t.results id) then begin
     Metric.incr m_deadline_expiries;
-    let requester =
-      Option.value ~default:"" (Hashtbl.find_opt t.req_owner id)
-    in
+    let requester = Hashtbl.find t.req_owner id in
     Otracer.event (Obs.tracer ())
       (Printf.sprintf "reactor.deadline request#%d at %s expired" id
          requester);
-    let mine =
+    let st = peer_of t requester in
+    let armed =
       Hashtbl.fold
-        (fun ((p, _, _) as k) tm acc ->
-          if String.equal p requester then (k, tm) :: acc else acc)
-        t.timers []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+        (fun _ sq acc ->
+          match sq.sq_wire with
+          | Armed tm -> (sq, tm) :: acc
+          | Suspended _ ->
+              sq.sq_wire <- Idle;
+              acc
+          | Idle -> acc)
+        st.subs []
+      |> List.sort (fun (a, _) (b, _) ->
+             compare (a.sq_target, a.sq_key) (b.sq_target, b.sq_key))
     in
     List.iter
-      (fun (((_, target, _) as pkey), tm) ->
+      (fun (sq, tm) ->
         Metric.incr m_cancels;
-        resolve t pkey;
-        post ?trace:tm.tm_trace t ~from:requester ~target
+        (* A withdrawn sub-query reads as denied by its target. *)
+        (match sq.sq_state with
+        | Pending -> sq.sq_state <- Denied "withdrawn"
+        | Answered _ | Denied _ -> ());
+        disarm t st sq;
+        post ?trace:tm.tm_trace t ~from:requester ~target:sq.sq_target
           (Net.Message.Cancel { goal = tm.tm_goal }))
-      mine;
-    (* Withdrawn keys resolve without a wake: whatever else waits on
-       them is retried at the requester's next wake. *)
-    if mine <> [] then
-      Hashtbl.replace t.unwoken requester
-        (List.map fst mine
-        @ Option.value ~default:[] (Hashtbl.find_opt t.unwoken requester));
-    let akeys = Hashtbl.fold (fun k _ acc -> k :: acc) t.awaiting [] in
+      armed;
+    (* Withdrawn sub-queries resolve without a wake: whatever else waits
+       on them is retried at the requester's next wake. *)
+    st.unwoken <- List.map fst armed @ st.unwoken;
     List.iter
-      (fun k ->
-        Hashtbl.replace t.awaiting k
-          (List.filter
-             (fun ((p, _, _), _) -> not (String.equal p requester))
-             (Hashtbl.find t.awaiting k)))
-      akeys;
-    List.iter
-      (fun p -> if p.pk_request = Some id then unpark t p)
-      (parked_at t requester);
+      (fun p -> if p.pk_request = Some id then unpark st p)
+      (goals_of st.parked);
     settle_request t id (Negotiation.Denied "deadline expired")
   end
 
@@ -1514,9 +1399,9 @@ let process_event t = function
 let step t =
   let ev_tick = match t.events with [] -> max_int | (tk, _) :: _ -> tk in
   let dv = Dq.min_binding_opt t.dq in
-  let tmr = next_timer t in
+  let tmr = Due.min_elt_opt t.timers in
   let dq_tick = match dv with Some ((at, _), _) -> at | None -> max_int in
-  let tm_tick = match tmr with Some (tt, _, _) -> tt | None -> max_int in
+  let tm_tick = match tmr with Some (tt, _, _, _) -> tt | None -> max_int in
   if ev_tick = max_int && dv = None && tmr = None then false
   else if ev_tick <= dq_tick && ev_tick <= tm_tick then begin
     (match t.events with
@@ -1533,8 +1418,8 @@ let step t =
         t.dq <- Dq.remove dkey t.dq;
         deliver_envelope t env;
         true
-    | _, Some (_, tkey, tm) ->
-        fire_timer t tkey tm;
+    | _, Some due ->
+        fire_timer t due;
         true
     | _ -> assert false
 
@@ -1557,13 +1442,13 @@ let break_quiescence t =
   t.last_break <- next_stamp t;
   match (latest others, latest roots) with
   | Some p, _ ->
-      unpark t p;
+      unpark (peer_of t p.pk_peer) p;
       post t ~from:p.pk_peer ~target:p.pk_requester
         (Net.Message.Deny { goal = p.pk_goal; reason = "negotiation cycle" });
       true
   | None, Some ({ pk_request = Some id; _ } as p) ->
       settle_request t id (Negotiation.Denied "negotiation quiescent");
-      unpark t p;
+      unpark (peer_of t p.pk_peer) p;
       true
   | None, (Some _ | None) -> false
 
@@ -1601,6 +1486,9 @@ let run_inner ?(max_steps = 100_000) t =
            settle_request t id (Negotiation.Denied "message budget exhausted"));
   !steps
 
+let parked_count t =
+  Hashtbl.fold (fun _ st n -> n + Hashtbl.length st.parked) t.peers 0
+
 let run ?max_steps t =
   let steps =
     let tracer = Obs.tracer () in
@@ -1615,9 +1503,13 @@ let run ?max_steps t =
   Metric.set g_outstanding
     (float_of_int
        (Hashtbl.fold
-          (fun _ resolved acc -> if !resolved then acc else acc + 1)
-          t.pending 0));
-  Metric.set g_parked (float_of_int t.parked_n);
+          (fun _ st acc ->
+            Hashtbl.fold
+              (fun _ sq acc ->
+                match sq.sq_state with Pending -> acc + 1 | _ -> acc)
+              st.subs acc)
+          t.peers 0));
+  Metric.set g_parked (float_of_int (parked_count t));
   steps
 
 let result t id = Hashtbl.find_opt t.results id
@@ -1627,14 +1519,15 @@ let outcome t id =
   | Some o -> o
   | None -> Negotiation.Denied "negotiation quiescent"
 
-let parked_count t = t.parked_n
-let pending_timers t = Hashtbl.length t.timers
+let pending_timers t = Due.cardinal t.timers
 
 let tabling_summary t =
   match t.tabling_st with None -> [] | Some tb -> Tabling.summary tb
 let guard t = t.guard
 let dedup_evictions t =
-  Hashtbl.fold (fun _ ring acc -> acc + Net.Dedup.evictions ring) t.rings 0
+  Hashtbl.fold
+    (fun _ st n -> n + Option.fold ~none:0 ~some:Net.Dedup.evictions st.ring)
+    t.peers 0
 
 (* Register an adversary: give it a network identity (an inert handler,
    so posts to it succeed) and queue its opening burst against

@@ -32,25 +32,24 @@
     deliveries: messages travel in {!Peertrust_net.Envelope}s whose ids
     make duplicate deliveries idempotent, deliveries are ordered by their
     simulated delivery time, and every outstanding sub-query carries a
-    retransmission timer with exponential backoff ({!config}).  A
-    sub-query that exhausts its retry budget degrades into a structured
-    denial — [timeout: <peer>] or [unreachable: <peer>] — that propagates
-    through {!Negotiation.outcome} (see {!Negotiation.classify_denial})
-    instead of hanging the negotiation.  With the fault-free plan the
-    timers stay disarmed and behaviour is identical to the plain queue.
+    retransmission timer with exponential backoff (8 ticks, doubling for
+    each of {!config}[.retry_limit] retries).  A sub-query that exhausts
+    its retry budget degrades into a structured denial — [timeout:
+    <peer>] or [unreachable: <peer>] — that propagates through
+    {!Negotiation.outcome} (see {!Negotiation.classify_denial}) instead
+    of hanging the negotiation.  With the fault-free plan the timers stay
+    disarmed and behaviour is identical to the plain queue.
 
-    {2 Answer caching and batching}
+    {2 Answer caching}
 
     With {!config}[.cache] set, a sub-query whose variant the cache has
     already seen answered by the same peer (for the same asker) is
     short-circuited: the cached answer is replayed as a locally
     synthesized delivery — no envelope is posted and no retransmission
     timer is armed — and answers delivered off the wire fill the cache
-    (see {!Answer_cache} for keying, TTL and invalidation).  With
-    {!config}[.batch] set, the sub-queries one goal evaluation emits
-    towards the same peer travel as one {!Peertrust_net.Message.Batch}
-    envelope.  Both default off; the default configuration's fault-free
-    transcripts are byte-identical to the cache-less engine.
+    (see {!Answer_cache} for keying, TTL and invalidation).  It defaults
+    off; the default configuration's fault-free transcripts are
+    byte-identical to the cache-less engine.
 
     {2 Guards and adversaries}
 
@@ -113,9 +112,6 @@ type journal_mode =
           restarted {e process} resumes where it crashed *)
 
 type config = {
-  rto : int;
-      (** initial retransmission timeout in simulated ticks (doubles per
-          retry) *)
   retry_limit : int;  (** retransmissions per sub-query before giving up *)
   cache : Answer_cache.t option;
       (** answer cache consulted before a sub-query is posted (and before
@@ -126,15 +122,6 @@ type config = {
           cross-session mode.  [None] (the default) disables caching and
           keeps fault-free transcripts byte-identical to the pre-cache
           engine. *)
-  batch : bool;
-      (** coalesce the same-tick sub-queries a goal evaluation emits
-          towards one peer into a single {!Peertrust_net.Message.Batch}
-          envelope.  Off by default: batching changes the transcript
-          shape (fewer, larger envelopes). *)
-  dedup_cap : int;
-      (** capacity of the delivered-envelope-id dedup set; past it the
-          oldest ids are forgotten, counted as
-          [reactor.dedup_evictions] *)
   tabling : bool;
       (** evaluate goals through the distributed {!Tabling} engine: one
           table per goal skeleton at its owning peer, monotone answer
@@ -151,16 +138,15 @@ type config = {
 }
 
 val default_config : config
-(** [{ rto = 8; retry_limit = 3; cache = None; batch = false;
-    dedup_cap = 8192; tabling = false; journal = Journal_off }] — a
-    sub-query is abandoned as timed out after 8 + 16 + 32 + 64
-    unanswered ticks; caching, batching, tabling and journalling are
-    opt-in. *)
+(** [{ retry_limit = 3; cache = None; tabling = false;
+    journal = Journal_off }] — a sub-query is abandoned as timed out
+    after 8 + 16 + 32 + 64 unanswered ticks; caching, tabling and
+    journalling are opt-in. *)
 
 val create : ?config:config -> Session.t -> t
 (** The reactor replaces the peers' network handlers; create it after all
     peers are added.  Sessions should not mix reactor and synchronous
-    {!Engine} traffic.  @raise Invalid_argument on [rto < 1] or a negative
+    {!Engine} traffic.  @raise Invalid_argument on a negative
     [retry_limit]. *)
 
 type request
@@ -208,7 +194,8 @@ val guard : t -> Guard.t
     states and quarantined peers. *)
 
 val dedup_evictions : t -> int
-(** Ids forgotten by this reactor's bounded dedup set. *)
+(** Ids forgotten by this reactor's bounded per-peer dedup rings (8192
+    ids each). *)
 
 val tabling_summary : t -> (string * string * int * string) list
 (** [(peer, goal key, answer count, status)] for every distributed

@@ -280,7 +280,7 @@ let solve_body ?(options = default_options) ?(externals = no_externals)
    with Enough -> ());
   (List.rev !results, !local_steps)
 
-let solve ?options ?externals ?remote ?bindings ~self kb goals =
+let solve_stats ?options ?externals ?remote ?bindings ~self kb goals =
   Metric.incr m_queries;
   let run () = solve_body ?options ?externals ?remote ?bindings ~self kb goals in
   let result, steps =
@@ -299,7 +299,10 @@ let solve ?options ?externals ?remote ?bindings ~self kb goals =
   in
   Metric.observe_int h_steps steps;
   Metric.add m_solutions (List.length result);
-  result
+  (result, steps)
+
+let solve ?options ?externals ?remote ?bindings ~self kb goals =
+  fst (solve_stats ?options ?externals ?remote ?bindings ~self kb goals)
 
 let provable ?options ?externals ?remote ?bindings ~self kb goals =
   let opts =

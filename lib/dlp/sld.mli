@@ -67,6 +67,18 @@ val solve :
     typically [("Self", Str self); ("Requester", Str r)].  [Self] is always
     bound to [self] (a [bindings] entry may not override it). *)
 
+val solve_stats :
+  ?options:options ->
+  ?externals:externals ->
+  ?remote:remote ->
+  ?bindings:(string * Term.t) list ->
+  self:string ->
+  Kb.t ->
+  Literal.t list ->
+  answer list * int
+(** Like {!solve}, also returning the resolution steps the call spent
+    (its own [prove_one] calls, cut-off attempts included). *)
+
 val provable :
   ?options:options ->
   ?externals:externals ->

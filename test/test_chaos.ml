@@ -19,7 +19,7 @@ let granted = function
 
 (* One queued scenario-1 run; [faults] installs a plan before the
    reactor starts, [config] selects reactor options (answer cache,
-   batching). *)
+   journal). *)
 let run_s1 ?faults ?config () =
   let s = Scenario.scenario1 ~key_bits () in
   let net = s.Scenario.s1_session.Session.network in

@@ -426,7 +426,7 @@ let test_reactor_chain_discovery () =
 
 (* ------------------------------------------------------------------ *)
 (* Answer cache: unit behaviour (TTL, capacity, invalidation, watchers)
-   and the reactor integration (warm cross-session runs, batching). *)
+   and the reactor integration (warm cross-session runs). *)
 
 let dummy_answer inst =
   { Answer_cache.instances = [ (lit inst, None) ]; certs = [] }
@@ -558,52 +558,6 @@ let test_cache_warm_cross_session () =
   Alcotest.(check bool) "warm run hit the cache" true
     (Answer_cache.hits cache > 0)
 
-let test_reactor_batching () =
-  (* Same-tick sub-queries to one peer coalesce into a single Batch
-     envelope: same outcome, fewer envelopes, batch summary on the wire.
-     The release policy has two alternative rules, so one evaluation
-     probes both credentials at the requester in the same tick. *)
-  let posts net = Net.Stats.messages (Net.Network.stats net) in
-  let run config =
-    let session = Session.create () in
-    ignore
-      (Session.add_peer session
-         ~program:
-           {|resource("r") $ pass(Requester) <-{true} haveIt("r").
-             haveIt("r").
-             pass(X) <- c1(X) @ "CA" @ X.
-             pass(X) <- c2(X) @ "CA" @ X.|}
-         "owner");
-    ignore
-      (Session.add_peer session
-         ~program:{|c2("req") @ "CA" $ true signedBy ["CA"].|}
-         "req");
-    let net = session.Session.network in
-    let reactor = Reactor.create ?config session in
-    let id =
-      Reactor.submit reactor ~requester:"req" ~target:"owner"
-        (lit {|resource("r")|})
-    in
-    ignore (Reactor.run reactor);
-    (granted (Reactor.outcome reactor id), posts net, net)
-  in
-  let ok_plain, posts_plain, _ = run None in
-  let ok_batch, posts_batch, batch_net =
-    run (Some { Reactor.default_config with Reactor.batch = true })
-  in
-  Alcotest.(check bool) "plain granted" true ok_plain;
-  Alcotest.(check bool) "batched granted" true ok_batch;
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer envelopes (%d < %d)" posts_batch posts_plain)
-    true
-    (posts_batch < posts_plain);
-  let is_batch e =
-    String.length e.Net.Network.summary >= 5
-    && String.equal (String.sub e.Net.Network.summary 0 5) "batch"
-  in
-  Alcotest.(check bool) "a batch envelope on the wire" true
-    (List.exists is_batch (Net.Network.transcript batch_net))
-
 (* ------------------------------------------------------------------ *)
 (* Inbound guard: structural checks, admission control and the circuit
    breaker, driven directly with an explicit clock. *)
@@ -684,6 +638,62 @@ let test_guard_quota () =
   match Guard.admit g ~now:0 ~from:"req" ~target:"owner" probe with
   | Guard.Reject Guard.Quota_exhausted -> ()
   | _ -> Alcotest.fail "query beyond the quota must be rejected"
+
+(* The reactor charges a guarded evaluation with the solver steps it
+   spent, as a value returned by the engine: after one query the work
+   charged to the requester/peer pair is the run's whole [sld.steps]
+   delta, and a quota smaller than that is exhausted by the same query,
+   so the next one is denied as [quota]. *)
+let test_guard_quota_charges_solver_steps () =
+  let run quota =
+    let config =
+      {
+        Session.default_config with
+        Session.guard = { Guard.defaults with Guard.quota };
+      }
+    in
+    let session = Session.create ~config () in
+    ignore
+      (Session.add_peer session
+         ~program:
+           {|info(X) $ true <- a(X).
+             a(X) <- b(X).
+             b(1). b(2). b(3).|}
+         "owner");
+    ignore (Session.add_peer session "req");
+    let reactor = Reactor.create session in
+    Pobs.Obs.reset_metrics ();
+    let first =
+      Reactor.submit reactor ~requester:"req" ~target:"owner" (lit "info(X)")
+    in
+    ignore (Reactor.run reactor);
+    let steps =
+      Pobs.Registry.counter_value (Pobs.Obs.snapshot ()) "sld.steps"
+    in
+    let charged =
+      quota
+      - Guard.remaining_work (Reactor.guard reactor) ~from:"req"
+          ~target:"owner"
+    in
+    let second =
+      Reactor.submit reactor ~requester:"req" ~target:"owner" (lit "info(1)")
+    in
+    ignore (Reactor.run reactor);
+    ( steps,
+      charged,
+      Reactor.outcome reactor first,
+      Reactor.outcome reactor second )
+  in
+  let steps, charged, first, second = run Guard.defaults.Guard.quota in
+  Alcotest.(check bool) "the query did some resolution work" true (steps > 0);
+  Alcotest.(check int) "charged = sld.steps delta" steps charged;
+  Alcotest.(check bool) "first query granted" true (granted first);
+  Alcotest.(check bool) "second query granted" true (granted second);
+  let _, _, _, second = run (charged - 1) in
+  match second with
+  | Negotiation.Denied reason ->
+      Alcotest.(check string) "quota denial" "quota: owner" reason
+  | Negotiation.Granted _ -> Alcotest.fail "quota exhausted by the first query"
 
 let test_guard_solicitation () =
   let g = mk_guard () in
@@ -1044,17 +1054,18 @@ let test_crash_suspend_reissue () =
   Alcotest.(check bool) "suspended sub-queries reissued at restart" true
     (counter snap "reactor.reissued_subqueries" > 0)
 
-let test_deadline_expiry_cancels () =
-  (* A root with a deadline tighter than the negotiation's latency: the
-     request must settle as exactly [deadline expired], and the
-     requester must withdraw its outstanding sub-queries with Cancel
-     messages so the responder drops the parked goal.  The far-future
-     bystander crash keeps the fault plan active so retransmission
-     timers (which the Cancels are collected from) are armed. *)
+(* A root with a deadline tighter than the negotiation's latency: the
+   request must settle as exactly [deadline expired], and the requester
+   must withdraw its outstanding sub-query with a Cancel message so the
+   responder drops the parked goal — with a fault plan active (a
+   far-future bystander crash, so retransmission timers run) and in a
+   fault-free run alike. *)
+let test_deadline_expiry_cancels ~faulted () =
   Pobs.Obs.reset_metrics ();
   let session = counter_query_world () in
-  Net.Network.set_faults session.Session.network
-    (crash_faults [ ("req", 500, max_int) ]);
+  if faulted then
+    Net.Network.set_faults session.Session.network
+      (crash_faults [ ("req", 500, max_int) ]);
   let reactor = Reactor.create session in
   let id =
     Reactor.submit ~deadline:2 reactor ~requester:"req" ~target:"owner"
@@ -1068,10 +1079,34 @@ let test_deadline_expiry_cancels () =
   let snap = Pobs.Obs.snapshot () in
   Alcotest.(check int) "one deadline expiry" 1
     (counter snap "reactor.deadline_expiries");
-  Alcotest.(check bool) "outstanding sub-queries withdrawn" true
-    (counter snap "reactor.cancels" > 0);
-  Alcotest.(check bool) "responder dropped the parked goal" true
-    (counter snap "reactor.cancelled_goals" > 0)
+  Alcotest.(check int) "outstanding sub-query withdrawn" 1
+    (counter snap "reactor.cancels");
+  Alcotest.(check int) "responder dropped the parked goal" 1
+    (counter snap "reactor.cancelled_goals")
+
+(* A's sub-query to B is suspended awaiting B's restart, then A crashes
+   before B returns: the sub-query died with A, so B's restart must
+   reissue nothing.  Without A's crash the same schedule reissues it. *)
+let test_crash_asker_while_suspended () =
+  let reissued ~asker_crashes =
+    Pobs.Obs.reset_metrics ();
+    let session = counter_query_world () in
+    let asker = if asker_crashes then [ ("req", 150, max_int) ] else [] in
+    Net.Network.set_faults session.Session.network
+      (crash_faults (("owner", 0, 200) :: asker));
+    let reactor = Reactor.create session in
+    ignore
+      (Reactor.submit reactor ~requester:"req" ~target:"owner"
+         (lit {|resource("r")|}));
+    ignore (Reactor.run reactor);
+    let snap = Pobs.Obs.snapshot () in
+    Alcotest.(check int) "owner restarted" 1 (counter snap "reactor.restarts");
+    counter snap "reactor.reissued_subqueries"
+  in
+  Alcotest.(check int) "suspended sub-query reissued" 1
+    (reissued ~asker_crashes:false);
+  Alcotest.(check int) "nothing reissued for a crashed asker" 0
+    (reissued ~asker_crashes:true)
 
 (* A deadline withdrawal resolves its sub-queries without delivering
    anything.  A second root sharing the withdrawn sub-query must still be
@@ -1212,7 +1247,6 @@ let () =
           tc "revocation watcher" test_cache_watch_accounts;
           tc "kb-update watcher" test_cache_watch_peer;
           tc "warm cross-session run" test_cache_warm_cross_session;
-          tc "batched sub-queries" test_reactor_batching;
         ] );
       ( "tabling",
         [
@@ -1230,6 +1264,8 @@ let () =
           tc "breaker open/half-open/close" test_guard_breaker_transitions;
           tc "rate limit" test_guard_rate_limit;
           tc "work quota" test_guard_quota;
+          tc "quota charged in solver steps"
+            test_guard_quota_charges_solver_steps;
           tc "solicitation" test_guard_solicitation;
           tc "bad certs and bombs" test_guard_bad_cert_and_bomb;
           tc "denial classification" test_classify_guard_denials;
@@ -1241,7 +1277,11 @@ let () =
           tc "journal recovery" test_crash_restart_journal_recovers;
           tc "requester root recovery" test_crash_requester_root_recovery;
           tc "suspend and reissue" test_crash_suspend_reissue;
-          tc "deadline expiry cancels" test_deadline_expiry_cancels;
+          tc "deadline expiry cancels"
+            (test_deadline_expiry_cancels ~faulted:true);
+          tc "deadline expiry cancels fault-free"
+            (test_deadline_expiry_cancels ~faulted:false);
+          tc "asker crash while suspended" test_crash_asker_while_suspended;
           tc "deadline withdrawal wakes sharers"
             test_deadline_withdrawal_wakes_sharers;
           tc "cross-process journal resume"
