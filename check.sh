@@ -9,6 +9,17 @@ dune build
 dune runtest
 dune build @fmt
 
+# Every tracked file is outside .gitignore: a committed baseline the
+# gate reads needs its own "!" exception, and a build or run artifact
+# must not be tracked.  Skipped outside a git work tree (e.g. a tarball).
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  ignored=$(git ls-files -ci --exclude-standard)
+  if [ -n "$ignored" ]; then
+    echo "check: tracked files matched by .gitignore: $ignored" >&2
+    exit 1
+  fi
+fi
+
 # No control flow reads the observability registry: outside lib/obs the
 # library threads its counts (e.g. solver steps) out of calls as values.
 if grep -rn 'Metric\.value' lib --exclude-dir=obs; then

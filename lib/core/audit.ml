@@ -43,9 +43,8 @@ let attach t session =
      engine handler. *)
   Hashtbl.iter
     (fun name peer ->
-      ignore peer;
-      let base = Engine.handler_for session (Session.peer session name) in
-      Net.Network.register session.Session.network name (wrap t session name base))
+      Net.Network.register session.Session.network name
+        (wrap t session name (Engine.handler session peer)))
     session.Session.peers
 
 let entries t = List.rev t.log

@@ -78,10 +78,9 @@ let rec remote_callback session peer ~target lit =
                 instances;
               instances
           | Net.Message.Deny _ | Net.Message.Disclosure _ | Net.Message.Ack
-          | Net.Message.Query _ | Net.Message.Batch _ | Net.Message.Raw _
-          | Net.Message.Tquery _ | Net.Message.Tanswer _ | Net.Message.Tprobe _
-          | Net.Message.Tstat _ | Net.Message.Tcomplete _
-          | Net.Message.Cancel _ ->
+          | Net.Message.Query _ | Net.Message.Raw _ | Net.Message.Tquery _
+          | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
+          | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
               [])
     end
   in
@@ -189,6 +188,16 @@ let dedup_certs certs =
       end)
     certs
 
+(* Does [rule]'s release policy (or a release rule covering it) grant
+   the credential to [requester]? *)
+let releasable_to ~prover peer ~requester rule =
+  match
+    Policy.credential_releasable ~prover ~kb:peer.Peer.kb ~requester
+      ~self:peer.Peer.name rule
+  with
+  | Policy.Granted -> true
+  | Policy.Denied _ -> false
+
 (* Certificates backing the signed rules used in the given proofs, plus
    [extra] rules (the top-level rule when it is itself signed), filtered by
    their release policies towards [requester]. *)
@@ -196,18 +205,12 @@ let releasable_proof_certs ?allow_remote ?remote ~meter session peer
     ~requester proofs extra =
   let used = Trace.credentials_of_list proofs @ extra in
   let prover = metered_prover ?allow_remote ?remote ~meter session peer in
-  let self = peer.Peer.name in
   used
   |> List.filter_map (fun rule ->
          match Peer.cert_for peer rule with
-         | None -> None
-         | Some cert -> (
-             match
-               Policy.credential_releasable ~prover ~kb:peer.Peer.kb ~requester
-                 ~self rule
-             with
-             | Policy.Granted -> Some cert
-             | Policy.Denied _ -> None))
+         | Some cert when releasable_to ~prover peer ~requester rule ->
+             Some cert
+         | Some _ | None -> None)
   |> dedup_certs
 
 let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
@@ -217,7 +220,6 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
     Fun.protect
       ~finally:(fun () -> Peer.leave peer ~requester goal)
       (fun () ->
-        let self = peer.Peer.name in
         let config = session.Session.config in
         let serials_before =
           Hashtbl.fold
@@ -226,11 +228,48 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
         in
         let bindings =
           Subst.bind "Requester" (Term.str requester)
-            (Subst.bind "Self" (Term.str self) Subst.empty)
+            (Subst.bind "Self" (Term.str peer.Peer.name) Subst.empty)
         in
         let results = ref [] (* (instance, proofs) *) in
         let certs = ref [] in
         let saw_release_rule = ref false in
+        let full () = List.length !results >= config.Session.max_answers in
+        (* Run [k] on the unifier of the goal with each of [heads] (see
+           {!Policy.credential_heads}) while answers are still wanted. *)
+        let rec try_heads heads k =
+          match heads with
+          | [] -> ()
+          | head :: rest ->
+              (if not (full ()) then
+                 match Literal.unify goal head bindings with
+                 | None -> ()
+                 | Some s0 -> k s0);
+              try_heads rest k
+        in
+        (* Record one answer: the goal instance under [substs] (applied in
+           order), the releasable certificates backing [rule] and
+           [proofs], and the optional proof of the renamed rule [r]. *)
+        let emit rule r substs proofs =
+          let instance =
+            tidy_instance
+              (List.fold_left (fun acc s -> Literal.apply s acc) goal substs)
+          in
+          let extra = if Rule.is_signed rule then [ rule ] else [] in
+          let answer_certs =
+            releasable_proof_certs ~allow_remote ?remote ~meter session peer
+              ~requester proofs extra
+          in
+          certs := !certs @ answer_certs;
+          let proof =
+            if config.Session.attach_proofs then
+              let applied =
+                List.fold_left (fun acc s -> Rule.apply s acc) r substs
+              in
+              Some (Trace.Apply (applied, proofs))
+            else None
+          in
+          results := (instance, proof) :: !results
+        in
         let consider rule =
           match rule.Rule.head_ctx with
           | None -> ()
@@ -242,88 +281,49 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
               in
               let ctx = Option.value ~default:[] r.Rule.head_ctx in
               let ctx_builtin, ctx_rest = split_ctx ctx in
-              let heads =
-                r.Rule.head
-                ::
-                (if Rule.is_signed r then
-                   List.map
-                     (fun a -> Literal.push_authority r.Rule.head (Term.str a))
-                     r.Rule.signer
-                 else [])
-              in
-              let try_head head =
-                if List.length !results >= config.Session.max_answers then ()
-                else
-                  match Literal.unify goal head bindings with
-                  | None -> ()
-                  | Some s0 ->
-                      let pre_goals =
-                        List.map (Literal.apply s0) (ctx_builtin @ r.Rule.body)
+              try_heads (Policy.credential_heads r) (fun s0 ->
+                  let pre_goals =
+                    List.map (Literal.apply s0) (ctx_builtin @ r.Rule.body)
+                  in
+                  let body_answers =
+                    eval_goals ~allow_remote ?remote
+                      ~solutions:config.Session.max_answers ~requester ~meter
+                      session peer pre_goals
+                  in
+                  let n_builtin = List.length ctx_builtin in
+                  let use_answer (a : Sld.answer) =
+                    if not (full ()) then begin
+                      let s1 = a.Sld.subst in
+                      let body_proofs =
+                        List.filteri (fun i _ -> i >= n_builtin) a.Sld.proofs
                       in
-                      let body_answers =
-                        eval_goals ~allow_remote ?remote
-                          ~solutions:config.Session.max_answers ~requester
-                          ~meter session peer pre_goals
+                      let remaining =
+                        List.map
+                          (fun l -> Literal.apply s1 (Literal.apply s0 l))
+                          ctx_rest
                       in
-                      let n_builtin = List.length ctx_builtin in
-                      let use_answer (a : Sld.answer) =
-                        if List.length !results >= config.Session.max_answers
-                        then ()
-                        else begin
-                          let s1 = a.Sld.subst in
-                          let body_proofs =
-                            List.filteri (fun i _ -> i >= n_builtin) a.Sld.proofs
-                          in
-                          let remaining =
-                            List.map
-                              (fun l -> Literal.apply s1 (Literal.apply s0 l))
-                              ctx_rest
-                          in
-                          let ctx_ok =
-                            match remaining with
-                            | [] -> Some Subst.empty
-                            | goals -> (
-                                match
-                                  eval_goals ~allow_remote ?remote ~solutions:1
-                                    ~requester ~meter session peer goals
-                                with
-                                | [] -> None
-                                | a2 :: _ -> Some a2.Sld.subst)
-                          in
-                          match ctx_ok with
-                          | None -> ()
-                          | Some s2 ->
-                              let instance =
-                                tidy_instance
-                                  (Literal.apply s2
-                                     (Literal.apply s1 (Literal.apply s0 goal)))
-                              in
-                              let extra = if Rule.is_signed r then [ rule ] else [] in
-                              let answer_certs =
-                                releasable_proof_certs ~allow_remote ?remote
-                                  ~meter session peer ~requester body_proofs
-                                  extra
-                              in
-                              certs := !certs @ answer_certs;
-                              let proof =
-                                if config.Session.attach_proofs then
-                                  Some
-                                    (Trace.Apply
-                                       ( Rule.apply s2 (Rule.apply s1 (Rule.apply s0 r)),
-                                         body_proofs ))
-                                else None
-                              in
-                              List.iter
-                                (fun p ->
-                                  Metric.observe_int h_proof_depth
-                                    (Trace.depth p))
-                                body_proofs;
-                              results := (instance, proof) :: !results
-                        end
+                      let ctx_ok =
+                        match remaining with
+                        | [] -> Some Subst.empty
+                        | goals -> (
+                            match
+                              eval_goals ~allow_remote ?remote ~solutions:1
+                                ~requester ~meter session peer goals
+                            with
+                            | [] -> None
+                            | a2 :: _ -> Some a2.Sld.subst)
                       in
-                      List.iter use_answer body_answers
-              in
-              List.iter try_head heads
+                      match ctx_ok with
+                      | None -> ()
+                      | Some s2 ->
+                          emit rule r [ s0; s1; s2 ] body_proofs;
+                          List.iter
+                            (fun p ->
+                              Metric.observe_int h_proof_depth (Trace.depth p))
+                            body_proofs
+                    end
+                  in
+                  List.iter use_answer body_answers)
         in
         (* Second source of answers: a signed rule (credential) whose head —
            directly or through the signed-rule axiom [h @ signer] — matches
@@ -342,67 +342,25 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
               (fun l -> Builtin.is_builtin (Literal.key l))
               rule.Rule.body
           in
-          if
-            Rule.is_signed rule && builtin_only_body
-            && List.length !results < config.Session.max_answers
+          if Rule.is_signed rule && builtin_only_body && not (full ())
           then begin
             incr fresh_counter;
             let r =
               Rule.rename ~suffix:(Printf.sprintf "~c%d" !fresh_counter) rule
             in
-            let heads =
-              r.Rule.head
-              :: List.map
-                   (fun a -> Literal.push_authority r.Rule.head (Term.str a))
-                   r.Rule.signer
-            in
-            let try_head head =
-              if List.length !results >= config.Session.max_answers then ()
-              else
-                match Literal.unify goal head bindings with
-                | None -> ()
-                | Some s0 -> (
-                    saw_release_rule := true;
-                    let prover =
-                      metered_prover ~allow_remote ?remote ~meter session peer
-                    in
-                    match
-                      Policy.credential_releasable ~prover ~kb:peer.Peer.kb
-                        ~requester ~self rule
-                    with
-                    | Policy.Denied _ -> ()
-                    | Policy.Granted -> (
-                        let body_goals =
-                          List.map (Literal.apply s0) r.Rule.body
-                        in
-                        match
-                          eval_goals ~allow_remote ?remote ~solutions:1
-                            ~requester ~meter session peer body_goals
-                        with
-                        | [] -> ()
-                        | a :: _ ->
-                            let s1 = a.Sld.subst in
-                            let instance =
-                              tidy_instance
-                                (Literal.apply s1 (Literal.apply s0 goal))
-                            in
-                            let answer_certs =
-                              releasable_proof_certs ~allow_remote ?remote
-                                ~meter session peer ~requester a.Sld.proofs
-                                [ rule ]
-                            in
-                            certs := !certs @ answer_certs;
-                            let proof =
-                              if config.Session.attach_proofs then
-                                Some
-                                  (Trace.Apply
-                                     ( Rule.apply s1 (Rule.apply s0 r),
-                                       a.Sld.proofs ))
-                              else None
-                            in
-                            results := (instance, proof) :: !results))
-            in
-            List.iter try_head heads
+            try_heads (Policy.credential_heads r) (fun s0 ->
+                saw_release_rule := true;
+                let prover =
+                  metered_prover ~allow_remote ?remote ~meter session peer
+                in
+                if releasable_to ~prover peer ~requester rule then
+                  match
+                    eval_goals ~allow_remote ?remote ~solutions:1 ~requester
+                      ~meter session peer
+                      (List.map (Literal.apply s0) r.Rule.body)
+                  with
+                  | [] -> ()
+                  | a :: _ -> emit rule r [ s0; a.Sld.subst ] a.Sld.proofs)
           end
         in
         let candidates = Kb.matching goal peer.Peer.kb in
@@ -443,13 +401,10 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
                     List.mem c.Crypto.Cert.serial serials_before
                     || Peer.cert_origin peer c = Some requester
                   then acc
-                  else
-                    match
-                      Policy.credential_releasable ~prover ~kb:peer.Peer.kb
-                        ~requester ~self c.Crypto.Cert.rule
-                    with
-                    | Policy.Granted -> c :: acc
-                    | Policy.Denied _ -> acc)
+                  else if
+                    releasable_to ~prover peer ~requester c.Crypto.Cert.rule
+                  then c :: acc
+                  else acc)
                 peer.Peer.certs []
             in
             Ok (instances, dedup_certs (!certs @ relayed)))
@@ -489,11 +444,11 @@ let answer_stats ?allow_remote ?remote ?(max_steps = max_int) session peer
 let answer ?allow_remote ?remote session peer ~requester goal =
   fst (answer_stats ?allow_remote ?remote session peer ~requester goal)
 
-let handler session peer : Net.Network.handler =
+let handler ?allow_remote session peer : Net.Network.handler =
  fun ~from payload ->
   match payload with
   | Net.Message.Query { goal } -> (
-      match answer session peer ~requester:from goal with
+      match answer ?allow_remote session peer ~requester:from goal with
       | Ok (instances, certs) ->
           Log.debug (fun m ->
               m "%s answers %s for %s: %d instance(s), %d cert(s)"
@@ -514,15 +469,12 @@ let handler session peer : Net.Network.handler =
         rules;
       Net.Message.Ack
   | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Ack
-  | Net.Message.Batch _ | Net.Message.Raw _ | Net.Message.Tquery _
-  | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-  | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-      (* Batches and the tabling control plane belong to the queued
-         reactor; the synchronous request/response pair cannot carry
-         several answers back. *)
+  | Net.Message.Raw _ | Net.Message.Tquery _ | Net.Message.Tanswer _
+  | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
+  | Net.Message.Cancel _ ->
+      (* The tabling control plane belongs to the queued reactor; the
+         synchronous request/response pair cannot stream answers back. *)
       Net.Message.Ack
-
-let handler_for = handler
 
 let attach session peer =
   Net.Network.register session.Session.network peer.Peer.name
@@ -537,15 +489,9 @@ let query session ~requester ~target goal =
 
 let releasable_certs ?allow_remote session peer ~requester =
   let prover = prover ?allow_remote session peer in
-  let self = peer.Peer.name in
   Hashtbl.fold (fun _ c acc -> c :: acc) peer.Peer.certs []
   |> List.filter (fun (c : Crypto.Cert.t) ->
-         match
-           Policy.credential_releasable ~prover ~kb:peer.Peer.kb ~requester
-             ~self c.Crypto.Cert.rule
-         with
-         | Policy.Granted -> true
-         | Policy.Denied _ -> false)
+         releasable_to ~prover peer ~requester c.Crypto.Cert.rule)
   |> dedup_certs
 
 let disclose session peer ~target certs =

@@ -24,12 +24,18 @@ open Peertrust_dlp
 
 type instance = Literal.t * Trace.t option
 
-val attach : Session.t -> Peer.t -> unit
-(** Register the peer's message handler on the session network. *)
+val handler :
+  ?allow_remote:bool -> Session.t -> Peer.t -> Peertrust_net.Network.handler
+(** The peer's synchronous message handler: a [Query] is answered by
+    {!answer} with the sender as requester ([Answer] or [Deny]); a
+    [Disclosure] is learned (certificates through {!learn}, unsigned rules
+    added as policy hints) and acknowledged; anything else gets [Ack].
+    [allow_remote] is passed to {!answer}: the eager strategy serves with
+    [false], so no counter-query leaves the peer.  Wrappers ({!Audit},
+    {!Proxy}) decorate or delegate to it. *)
 
-val handler_for : Session.t -> Peer.t -> Peertrust_net.Network.handler
-(** The raw handler {!attach} registers — exposed so wrappers (e.g.
-    {!Audit.attach}) can decorate it. *)
+val attach : Session.t -> Peer.t -> unit
+(** Register the peer's {!handler} on the session network. *)
 
 val attach_all : Session.t -> unit
 

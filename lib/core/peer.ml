@@ -6,7 +6,7 @@ type t = {
   certs : (string, Peertrust_crypto.Cert.t) Hashtbl.t;
   origins : (int, string) Hashtbl.t;
   externals : Sld.externals;
-  mutable options : Sld.options;
+  options : Sld.options;
   mutable active : (string * string) list;
   mutable kb_watchers : (unit -> unit) list;
 }

@@ -17,10 +17,10 @@ type t = {
       (** certificate serial -> peer it was received from (absent for the
           peer's own certificates) *)
   externals : Sld.externals;
-  mutable options : Sld.options;
-      (** evaluation limits; mutable so the reactor can cap [max_steps]
-          for the duration of one requester's evaluation (the guard's
-          per-requester work quota) *)
+  options : Sld.options;
+      (** evaluation limits, fixed at {!create}; a guard's per-requester
+          work quota caps [max_steps] per call instead (see
+          {!Engine.answer_stats}) *)
   mutable active : (string * string) list;
       (** in-flight (requester, goal skeleton) pairs, for cross-peer cycle
           detection *)

@@ -35,6 +35,10 @@ val credential_releasable :
     credential's head (directly or through the signed-rule axiom
     [h @ signer]) and its head context is provable.  Default: denied. *)
 
+val credential_heads : Rule.t -> Literal.t list
+(** The heads a rule can stand for when it answers a goal: its own head,
+    then [head @ signer] for each signer (the signed-rule axiom). *)
+
 val is_release_rule : Rule.t -> bool
 (** Does the rule carry a [$] head context (i.e. can it gate an answer to a
     remote query)? *)

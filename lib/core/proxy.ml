@@ -12,39 +12,32 @@ let attach_device session ~device ~proxy =
   let device_peer = Session.add_peer session device in
   let counter = ref 0 in
   Hashtbl.replace counters device counter;
+  let forward payload =
+    incr counter;
+    Net.Network.notify session.Session.network ~from:device ~target:proxy
+      payload
+  in
+  (* The device <-> proxy hops are accounted on the network; the trusted
+     proxy serves the payload with the *original* requester bound, so
+     release contexts are evaluated against the real counterparty. *)
   let handler ~from payload =
     match payload with
     | Net.Message.Query { goal } -> (
-        incr counter;
-        (* Account for the device <-> proxy hops, then let the trusted
-           proxy answer with the *original* requester bound, so release
-           contexts are evaluated against the real counterparty. *)
-        match
-          Net.Network.notify session.Session.network ~from:device
-            ~target:proxy payload
-        with
+        match forward payload with
         | exception Net.Network.Unreachable _ ->
             Net.Message.Deny { goal; reason = "proxy unreachable" }
         | () ->
-            let response =
-              match Engine.answer session proxy_peer ~requester:from goal with
-              | Ok (instances, certs) ->
-                  Net.Message.Answer { goal; instances; certs }
-              | Error reason -> Net.Message.Deny { goal; reason }
-            in
+            let response = Engine.handler session proxy_peer ~from payload in
             Net.Network.notify session.Session.network ~from:proxy
               ~target:device response;
             response)
-    | Net.Message.Disclosure { certs; rules = _ } ->
-        incr counter;
-        Net.Network.notify session.Session.network ~from:device ~target:proxy
-          payload;
-        Engine.learn ~from_:from session proxy_peer certs;
-        Net.Message.Ack
+    | Net.Message.Disclosure _ ->
+        forward payload;
+        Engine.handler session proxy_peer ~from payload
     | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Ack
-    | Net.Message.Batch _ | Net.Message.Raw _ | Net.Message.Tquery _
-    | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-    | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
+    | Net.Message.Raw _ | Net.Message.Tquery _ | Net.Message.Tanswer _
+    | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
+    | Net.Message.Cancel _ ->
         Net.Message.Ack
   in
   (* Replace the device's default handler with the forwarding one. *)

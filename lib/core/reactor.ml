@@ -365,27 +365,23 @@ let post ?attempt ?trace t ~from ~target payload =
       ~incarnation:(peer_of t from).incarnation ?trace payload
   with
   | envelopes -> List.iter (enqueue t) envelopes
-  | exception Net.Network.Unreachable _ ->
-      let rec unreachable payload =
-        match payload with
-        | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
-            enqueue_synthetic ?trace t ~from:target ~target:from
-              (Net.Message.Deny { goal; reason = "unreachable" })
-        | Net.Message.Batch payloads -> List.iter unreachable payloads
-        | Net.Message.Answer _ | Net.Message.Deny _
-        | Net.Message.Disclosure _ | Net.Message.Ack | Net.Message.Raw _
-        | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-        | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-            Metric.incr m_drops;
-            Otracer.event (Obs.tracer ())
-              (Printf.sprintf "reactor.drop %s -> %s: %s (unreachable)" from
-                 target
-                 (Net.Message.summary payload));
-            Log.debug (fun m ->
-                m "dropping %s -> %s: %s (unreachable)" from target
-                  (Net.Message.summary payload))
-      in
-      unreachable payload
+  | exception Net.Network.Unreachable _ -> (
+      match payload with
+      | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
+          enqueue_synthetic ?trace t ~from:target ~target:from
+            (Net.Message.Deny { goal; reason = "unreachable" })
+      | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
+      | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
+      | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
+      | Net.Message.Cancel _ ->
+          Metric.incr m_drops;
+          Otracer.event (Obs.tracer ())
+            (Printf.sprintf "reactor.drop %s -> %s: %s (unreachable)" from
+               target
+               (Net.Message.summary payload));
+          Log.debug (fun m ->
+              m "dropping %s -> %s: %s (unreachable)" from target
+                (Net.Message.summary payload)))
   | exception Net.Network.Budget_exhausted -> t.budget_hit <- true
 
 (* Retransmission timers only run under an active fault plan: without one
@@ -747,7 +743,7 @@ let learn_certs t st (peer : Peer.t) ~from certs =
         jappend st (Persist.Journal.Cert c))
     fresh
 
-let rec dispatch t ~synthetic (from, target, payload) =
+let dispatch t ~synthetic (from, target, payload) =
   match Hashtbl.find_opt t.session.Session.peers target with
   | None -> ()
   | Some peer -> (
@@ -804,8 +800,6 @@ let rec dispatch t ~synthetic (from, target, payload) =
                      from key target)
               end)
             (goals_of st.parked)
-      | Net.Message.Batch payloads ->
-          List.iter (fun p -> dispatch t ~synthetic (from, target, p)) payloads
       | Net.Message.Ack -> ()
       | Net.Message.Raw _ ->
           (* Garbage on the wire: without a guard there is nothing to do
@@ -1038,21 +1032,18 @@ let solicited_by t ~from ~target goal =
 (* A rejected query still owes its sender a reply — the honest reading
    of a rejection is a denial, and an honest requester that trips a
    limit must terminate with a structured outcome rather than hang.
-   One Deny per query inside the payload (1:1, no amplification);
-   rejected non-query payloads are dropped silently. *)
+   One Deny per rejected query (1:1, no amplification); rejected
+   non-query payloads are dropped silently. *)
 let reject_payload t ~from ~target violation payload =
   let reason = Guard.denial_reason violation in
-  let rec deny = function
-    | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
-        post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
-    | Net.Message.Batch payloads -> List.iter deny payloads
-    | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
-    | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
-    | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
-    | Net.Message.Cancel _ ->
-        ()
-  in
-  deny payload
+  match payload with
+  | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
+      post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
+  | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
+  | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
+  | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
+  | Net.Message.Cancel _ ->
+      ()
 
 (* Inbound traffic for a registered adversary: let it misbehave in
    response. *)
@@ -1071,9 +1062,8 @@ let payload_goal = function
   | Net.Message.Tanswer { goal; _ }
   | Net.Message.Cancel { goal } ->
       Some (goal_key goal)
-  | Net.Message.Batch _ | Net.Message.Disclosure _ | Net.Message.Ack
-  | Net.Message.Raw _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-  | Net.Message.Tcomplete _ ->
+  | Net.Message.Disclosure _ | Net.Message.Ack | Net.Message.Raw _
+  | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _ ->
       None
 
 let ring_of st =

@@ -28,95 +28,15 @@ let to_string = function
 
 let eager_rounds_limit = 64
 
-(* Eager-mode message handler: answers are computed from the local KB only
-   (no counter-queries); disclosures are learned as usual. *)
-let eager_handler session peer : Net.Network.handler =
- fun ~from payload ->
-  match payload with
-  | Net.Message.Query { goal } -> (
-      match Engine.answer ~allow_remote:false session peer ~requester:from goal with
-      | Ok (instances, certs) -> Net.Message.Answer { goal; instances; certs }
-      | Error reason -> Net.Message.Deny { goal; reason })
-  | Net.Message.Disclosure { certs; rules } ->
-      Engine.learn ~from_:from session peer certs;
-      List.iter
-        (fun r -> if not (Rule.is_signed r) then Peer.add_rule peer r)
-        rules;
-      Net.Message.Ack
-  | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Ack
-  | Net.Message.Batch _ | Net.Message.Raw _ | Net.Message.Tquery _
-  | Net.Message.Tanswer _ | Net.Message.Tprobe _ | Net.Message.Tstat _
-  | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-      Net.Message.Ack
-
-let run_eager session ~requester ~target goal =
-  let r_peer = Session.peer session requester in
-  let t_peer = Session.peer session target in
-  let net = session.Session.network in
-  Net.Network.register net requester (eager_handler session r_peer);
-  Net.Network.register net target (eager_handler session t_peer);
-  Fun.protect
-    ~finally:(fun () ->
-      (* Restore the standard (backward-chaining) handlers. *)
-      Engine.attach session r_peer;
-      Engine.attach session t_peer)
-    (fun () ->
-      let sent = Hashtbl.create 32 in
-      (* (direction, serial) pairs already pushed *)
-      let push from_peer to_name =
-        let fresh =
-          Engine.releasable_certs ~allow_remote:false session from_peer
-            ~requester:to_name
-          |> List.filter (fun (c : Peertrust_crypto.Cert.t) ->
-                 not
-                   (Hashtbl.mem sent
-                      (from_peer.Peer.name, c.Peertrust_crypto.Cert.serial)))
-        in
-        List.iter
-          (fun (c : Peertrust_crypto.Cert.t) ->
-            Hashtbl.add sent
-              (from_peer.Peer.name, c.Peertrust_crypto.Cert.serial)
-              ())
-          fresh;
-        Engine.disclose session from_peer ~target:to_name fresh;
-        fresh <> []
-      in
-      let rec round n =
-        if n > eager_rounds_limit then
-          Negotiation.Denied "eager rounds limit exceeded"
-        else
-          let decision =
-            in_round n (fun () ->
-                match
-                  Net.Network.send net ~from:requester ~target
-                    (Net.Message.Query { goal })
-                with
-                | Net.Message.Answer { instances; certs; _ } ->
-                    Engine.learn ~from_:target session r_peer certs;
-                    `Done (Negotiation.Granted instances)
-                | Net.Message.Deny _ ->
-                    let p1 = push r_peer target in
-                    let p2 = push t_peer requester in
-                    if p1 || p2 then `Retry
-                    else `Done (Negotiation.Denied "no safe disclosure sequence")
-                | Net.Message.Query _ | Net.Message.Disclosure _
-                | Net.Message.Ack | Net.Message.Batch _ | Net.Message.Raw _
-                | Net.Message.Tquery _ | Net.Message.Tanswer _
-                | Net.Message.Tprobe _ | Net.Message.Tstat _
-                | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
-                    `Done (Negotiation.Denied "protocol error"))
-          in
-          match decision with `Done o -> o | `Retry -> round (n + 1)
-      in
-      round 1)
-
 let run_eager_multi session ~participants ~requester ~target goal =
   if not (List.mem requester participants && List.mem target participants)
   then invalid_arg "Strategy.negotiate_multi: requester/target not listed";
   let peers = List.map (Session.peer session) participants in
   let net = session.Session.network in
   List.iter
-    (fun p -> Net.Network.register net p.Peer.name (eager_handler session p))
+    (fun p ->
+      Net.Network.register net p.Peer.name
+        (Engine.handler ~allow_remote:false session p))
     peers;
   Fun.protect
     ~finally:(fun () -> List.iter (Engine.attach session) peers)
@@ -170,10 +90,10 @@ let run_eager_multi session ~participants ~requester ~target goal =
                     if push_round () then `Retry
                     else `Done (Negotiation.Denied "no safe disclosure sequence")
                 | Net.Message.Query _ | Net.Message.Disclosure _
-                | Net.Message.Ack | Net.Message.Batch _ | Net.Message.Raw _
-                | Net.Message.Tquery _ | Net.Message.Tanswer _
-                | Net.Message.Tprobe _ | Net.Message.Tstat _
-                | Net.Message.Tcomplete _ | Net.Message.Cancel _ ->
+                | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tquery _
+                | Net.Message.Tanswer _ | Net.Message.Tprobe _
+                | Net.Message.Tstat _ | Net.Message.Tcomplete _
+                | Net.Message.Cancel _ ->
                     `Done (Negotiation.Denied "protocol error"))
           in
           match decision with `Done o -> o | `Retry -> round (n + 1)
@@ -199,8 +119,8 @@ let negotiate session ~strategy ~requester ~target goal =
   match strategy with
   | Relevant -> Negotiation.request session ~requester ~target goal
   | Eager ->
-      Negotiation.measure session (fun () ->
-          run_eager session ~requester ~target goal)
+      negotiate_multi session ~participants:[ requester; target ] ~requester
+        ~target goal
   | Push_relevant ->
       Negotiation.measure session (fun () ->
           run_push_relevant session ~requester ~target goal)

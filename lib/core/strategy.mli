@@ -59,4 +59,9 @@ val negotiate_multi :
     re-checks the goal at the target.  Completeness argument as in the
     2-party case: the disclosed set grows monotonically, so the rounds
     reach a fixpoint, and any credential unlockable by a safe sequence is
-    eventually unlocked. *)
+    eventually unlocked.
+
+    {!Eager} is this loop with [~participants:[requester; target]].
+    Every participant serves queries with {!Engine.handler}
+    [~allow_remote:false] for the duration of the call.  No caller
+    negotiates with [requester = target]; that case is not exercised. *)

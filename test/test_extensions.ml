@@ -105,8 +105,22 @@ let test_proxy_negotiation_succeeds () =
       {|resource("r")|}
   in
   Alcotest.(check bool) "granted through the proxy" true (granted r);
-  Alcotest.(check bool) "device forwarded at least one query" true
-    (Proxy.forwarded_count session ~device:"device" >= 1);
+  Alcotest.(check int) "device forwarded one query" 1
+    (Proxy.forwarded_count session ~device:"device");
+  Alcotest.(check (list (triple string string string)))
+    "transcript"
+    [
+      ("device", "owner", {|query resource("r")|});
+      ("owner", "device", {|query cred("device") @ "CA"|});
+      ("device", "home", {|query cred("device") @ "CA"|});
+      ("home", "device", {|answer cred("device") @ "CA": 1 instance(s), 1 cert(s)|});
+      ("device", "owner", {|answer cred("device") @ "CA": 1 instance(s), 1 cert(s)|});
+      ("owner", "device", {|answer resource("r"): 1 instance(s), 0 cert(s)|});
+    ]
+    (List.map
+       (fun (e : Net.Network.entry) ->
+         (e.Net.Network.from, e.Net.Network.target, e.Net.Network.summary))
+       r.Negotiation.transcript);
   (* The forwarding hops show up in the transcript. *)
   let stats = Net.Network.stats session.Session.network in
   Alcotest.(check bool) "device->home traffic accounted" true

@@ -106,7 +106,14 @@ let prop_multi_eager_matches_two_party =
       in
       let w2 = build_world params in
       let two = run_world Strategy.Eager w2 in
-      granted multi = granted two)
+      let observe (r : Negotiation.report) =
+        ( Format.asprintf "%a" Negotiation.pp_report r,
+          List.map
+            (fun (e : Peertrust_net.Network.entry) ->
+              Peertrust_net.Network.(e.from, e.target, e.summary))
+            r.Negotiation.transcript )
+      in
+      observe multi = observe two)
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis vs runtime *)
