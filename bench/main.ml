@@ -450,7 +450,7 @@ let e8 () =
     ~title:
       "E8  Push (forward fixpoint) vs pull (SLD) vs tabled on transitive \
        closure — backward wins for point queries, forward pays the full \
-       fixpoint; the (naive, round-based) tabled engine buys completeness \
+       fixpoint; the tabled engine buys completeness \
        on left recursion at a constant-factor cost"
     ~header:
       [ "edges"; "facts at fixpoint"; "forward ms"; "SLD point ms";

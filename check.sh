@@ -135,6 +135,13 @@ if ./_build/default/bench/main.exe diff --against-seed resolution_smoke \
   echo "bench diff: failed to flag an injected 2x regression" >&2
   exit 1
 fi
+# The same self-test on the recursion smoke artifact: the distributed
+# tabling counters (tabled.*, tabling.*) are gated, not just recorded.
+if ./_build/default/bench/main.exe diff --against-seed recursion_smoke \
+  --inflate 2 "$bench_dir/BENCH_recursion.json" > /dev/null 2>&1; then
+  echo "bench diff: failed to flag an injected 2x recursion regression" >&2
+  exit 1
+fi
 
 # Slow gate: the property suite again with raised iteration counts, then
 # the full benchmark sweeps diffed against their committed baselines.

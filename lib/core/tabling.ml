@@ -5,7 +5,11 @@
    owns the goal (the outermost authority).  Consumers hold a monotone
    *view* of each remote table they depend on; the owner pushes its full
    current instance list on every change ([Tanswer]), so duplicated,
-   reordered or re-transmitted pushes merge idempotently.  Acyclic
+   reordered or re-transmitted pushes merge idempotently.  Each table
+   keeps its {!Tabled} evaluation state for its lifetime: a view that
+   grows hands the state only the instances it gained, and resuming the
+   state derives only the answers they add — a table is never re-solved
+   from scratch (unless its peer's KB changed under it).  Acyclic
    dependency chains complete bottom-up: a table whose remote deps are
    all final freezes as soon as it reaches its local fixpoint.  Genuine
    cross-peer loops (mutual accreditation, federations) form SCCs that
@@ -63,6 +67,14 @@ type table = {
   mutable tb_status : status;
   mutable tb_consumers : string list;  (* reverse subscription order *)
   mutable tb_deps : (string * string) list;  (* (owner, key) *)
+  mutable tb_eval : eval option;  (* the resumable evaluation, once run *)
+}
+
+and eval = {
+  ev_state : Tabled.t;
+  ev_kb : Kb.t;  (* the peer's KB the state was built from *)
+  ev_fed : ((string * string) * int) list ref;
+      (* (owner, key) -> view instances already handed to the state *)
 }
 
 type view = {
@@ -87,6 +99,10 @@ type t = {
   tables : (string * string, table) Hashtbl.t;
   views : (string * string * string, view) Hashtbl.t;
       (* keyed (consumer, owner, key) *)
+  dependents : (string * string * string, string list) Hashtbl.t;
+      (* view (consumer, owner, key) -> sorted keys of the tables at
+         [consumer] whose evaluation reads it *)
+  mutable queries : post list;  (* Tqueries an evaluation posted, reversed *)
   mutable epoch : int;
   mutable probe : probe option;
 }
@@ -96,6 +112,8 @@ let create session =
     session;
     tables = Hashtbl.create 32;
     views = Hashtbl.create 32;
+    dependents = Hashtbl.create 32;
+    queries = [];
     epoch = 0;
     probe = None;
   }
@@ -139,6 +157,7 @@ let complete_table tb =
   | Complete | Failed _ -> []
   | Active ->
       tb.tb_status <- Complete;
+      tb.tb_eval <- None;
       Metric.incr m_completions;
       let tracer = Obs.tracer () in
       if Otracer.enabled tracer then
@@ -158,6 +177,7 @@ let fail_table tb reason =
   | Complete | Failed _ -> []
   | Active ->
       tb.tb_status <- Failed reason;
+      tb.tb_eval <- None;
       List.rev_map
         (fun c ->
           {
@@ -170,75 +190,134 @@ let fail_table tb reason =
 (* ------------------------------------------------------------------ *)
 (* Local evaluation of one table, with remote deps answered from views *)
 
+let rec insert_sorted k = function
+  | [] -> [ k ]
+  | x :: rest as l ->
+      let c = String.compare k x in
+      if c < 0 then k :: l else if c = 0 then l else x :: insert_sorted k rest
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+(* The state's [remote] hook: called once per remote call the first time
+   the state reaches it.  Records the dependency, hands over the view as
+   it stands (posting the Tquery that opens a missing one), and notes how
+   much of the view the state has seen. *)
+let view_hook t tb fed ~target lit =
+  let key = skeleton lit in
+  if
+    not
+      (List.exists
+         (fun (o, k) -> String.equal o target && String.equal k key)
+         tb.tb_deps)
+  then begin
+    tb.tb_deps <- tb.tb_deps @ [ (target, key) ];
+    let dep = (tb.tb_owner, target, key) in
+    Hashtbl.replace t.dependents dep
+      (insert_sorted tb.tb_key
+         (Option.value ~default:[] (Hashtbl.find_opt t.dependents dep)))
+  end;
+  match Hashtbl.find_opt t.views (tb.tb_owner, target, key) with
+  | Some v -> (
+      match v.vw_failed with
+      | Some r -> raise (Dep_failed r)
+      | None ->
+          fed := ((target, key), Hashtbl.length v.vw_seen) :: !fed;
+          List.rev v.vw_instances)
+  | None ->
+      (* Canonicalise the call's variable names before they reach the
+         wire: the engine's fresh variables carry a process-global
+         counter, and a transcript that leaked it would not be
+         reproducible across runs. *)
+      let lit =
+        let map = Hashtbl.create 4 in
+        let next = ref 0 in
+        Literal.map_vars
+          (fun v ->
+            match Hashtbl.find_opt map v with
+            | Some c -> c
+            | None ->
+                let c = Term.var_id (Printf.sprintf "G%d" !next) in
+                incr next;
+                Hashtbl.replace map v c;
+                c)
+          lit
+      in
+      let path = tb.tb_path @ [ (tb.tb_owner, tb.tb_key) ] in
+      Hashtbl.replace t.views (tb.tb_owner, target, key)
+        {
+          vw_goal = lit;
+          vw_path = path;
+          vw_seen = Hashtbl.create 8;
+          vw_instances = [];
+          vw_final = false;
+          vw_failed = None;
+        };
+      fed := ((target, key), 0) :: !fed;
+      t.queries <-
+        {
+          p_from = tb.tb_owner;
+          p_target = target;
+          p_payload = Net.Message.Tquery { goal = lit; path };
+        }
+        :: t.queries;
+      []
+
+(* Run the table's evaluation to fixpoint and return its new answers.
+   The state lives as long as the table: each call first hands it the
+   instances its views gained since the last call, so only those are
+   joined.  A state built from another KB (the peer learned rules) is
+   replaced by a fresh one, built the same way as the first. *)
+let resume t tb peer =
+  let ev =
+    match tb.tb_eval with
+    | Some ev when ev.ev_kb == peer.Peer.kb ->
+        List.iter
+          (fun (o, k) ->
+            match Hashtbl.find_opt t.views (tb.tb_owner, o, k) with
+            | None -> ()
+            | Some v ->
+                (* A failed view failed this table already (handle_deny). *)
+                let fed =
+                  Option.value ~default:0 (List.assoc_opt (o, k) !(ev.ev_fed))
+                in
+                let size = Hashtbl.length v.vw_seen in
+                if size > fed then begin
+                  ev.ev_fed :=
+                    ((o, k), size) :: List.remove_assoc (o, k) !(ev.ev_fed);
+                  Tabled.extend ev.ev_state ~target:o v.vw_goal
+                    (List.rev (take (size - fed) v.vw_instances))
+                end)
+          tb.tb_deps;
+        ev
+    | Some _ | None ->
+        let fed = ref [] in
+        let ev =
+          {
+            ev_state =
+              Tabled.create ~externals:peer.Peer.externals
+                ~remote:(view_hook t tb fed) ~self:tb.tb_owner peer.Peer.kb
+                [ tb.tb_call ];
+            ev_kb = peer.Peer.kb;
+            ev_fed = fed;
+          }
+        in
+        tb.tb_eval <- Some ev;
+        ev
+  in
+  Tabled.run ev.ev_state
+
 let eval_table t tb =
   match tb.tb_status with
   | Complete | Failed _ -> []
   | Active -> (
-      let posts = ref [] in
-      let deps = ref [] in
-      let hook ~target lit =
-        let key = skeleton lit in
-        if
-          not
-            (List.exists
-               (fun (o, k) -> String.equal o target && String.equal k key)
-               !deps)
-        then deps := (target, key) :: !deps;
-        match Hashtbl.find_opt t.views (tb.tb_owner, target, key) with
-        | Some v -> (
-            match v.vw_failed with
-            | Some r -> raise (Dep_failed r)
-            | None -> v.vw_instances)
-        | None ->
-            (* Canonicalise the call's variable names before they reach
-               the wire: the engine's fresh variables carry a
-               process-global counter, and a transcript that leaked it
-               would not be reproducible across runs. *)
-            let lit =
-              let map = Hashtbl.create 4 in
-              let next = ref 0 in
-              Literal.map_vars
-                (fun v ->
-                  match Hashtbl.find_opt map v with
-                  | Some c -> c
-                  | None ->
-                      let c = Term.var_id (Printf.sprintf "G%d" !next) in
-                      incr next;
-                      Hashtbl.replace map v c;
-                      c)
-                lit
-            in
-            let path = tb.tb_path @ [ (tb.tb_owner, tb.tb_key) ] in
-            let v =
-              {
-                vw_goal = lit;
-                vw_path = path;
-                vw_seen = Hashtbl.create 8;
-                vw_instances = [];
-                vw_final = false;
-                vw_failed = None;
-              }
-            in
-            Hashtbl.replace t.views (tb.tb_owner, target, key) v;
-            posts :=
-              {
-                p_from = tb.tb_owner;
-                p_target = target;
-                p_payload = Net.Message.Tquery { goal = lit; path };
-              }
-              :: !posts;
-            []
-      in
+      t.queries <- [];
       let peer = Session.peer t.session tb.tb_owner in
-      match
-        Tabled.solve ~externals:peer.Peer.externals ~remote:hook
-          ~self:tb.tb_owner peer.Peer.kb [ tb.tb_call ]
-      with
-      | exception Tabled.Unsupported msg ->
-          fail_table tb ("unsupported: " ^ msg)
+      match resume t tb peer with
+      | exception Tabled.Unsupported msg -> fail_table tb ("unsupported: " ^ msg)
       | exception Dep_failed reason -> fail_table tb reason
       | answers ->
-          tb.tb_deps <- List.rev !deps;
           let grew = ref false in
           List.iter
             (fun s ->
@@ -258,28 +337,24 @@ let eval_table t tb =
                 | None -> false)
               tb.tb_deps
           in
-          let queries = List.rev !posts in
-          if all_final && queries = [] then queries @ complete_table tb
+          let queries = List.rev t.queries in
+          t.queries <- [];
+          if all_final && queries = [] then complete_table tb
           else if !grew then queries @ notify tb ~final:false
           else queries)
 
-(* Re-evaluate every active table at [consumer] that depends on the
+(* The active tables at [consumer] whose evaluation reads the view of the
    remote table [(owner, key)], in sorted order. *)
-let reeval_dependents t ~consumer ~owner ~key =
-  Hashtbl.fold
-    (fun (p, _) tb acc ->
-      if
-        String.equal p consumer
-        && (match tb.tb_status with Active -> true | _ -> false)
-        && List.exists
-             (fun (o, k) -> String.equal o owner && String.equal k key)
-             tb.tb_deps
-      then tb :: acc
-      else acc)
-    t.tables []
-  |> List.sort (fun a b ->
-         compare (a.tb_owner, a.tb_key) (b.tb_owner, b.tb_key))
-  |> List.concat_map (fun tb -> eval_table t tb)
+let dependents t ~consumer ~owner ~key =
+  match Hashtbl.find_opt t.dependents (consumer, owner, key) with
+  | None -> []
+  | Some keys ->
+      List.filter_map
+        (fun k ->
+          match find_table t consumer k with
+          | Some ({ tb_status = Active; _ } as tb) -> Some tb
+          | Some _ | None -> None)
+        keys
 
 (* ------------------------------------------------------------------ *)
 (* Wire handlers *)
@@ -330,6 +405,7 @@ let handle_query t ~owner ~from ~path goal =
             tb_status = Active;
             tb_consumers = [ from ];
             tb_deps = [];
+            tb_eval = None;
           }
         in
         Hashtbl.replace t.tables (owner, key) tb;
@@ -373,7 +449,8 @@ let handle_answer t ~consumer ~from goal instances ~final =
   | Some v ->
       if Option.is_some v.vw_failed then []
       else if merge_view v instances ~final then
-        reeval_dependents t ~consumer ~owner:from ~key
+        List.concat_map (eval_table t)
+          (dependents t ~consumer ~owner:from ~key)
       else []
 
 let handle_deny t ~consumer ~from goal reason =
@@ -384,20 +461,9 @@ let handle_deny t ~consumer ~from goal reason =
       if Option.is_some v.vw_failed || v.vw_final then []
       else begin
         v.vw_failed <- Some reason;
-        Hashtbl.fold
-          (fun (p, _) tb acc ->
-            if
-              String.equal p consumer
-              && (match tb.tb_status with Active -> true | _ -> false)
-              && List.exists
-                   (fun (o, k) -> String.equal o from && String.equal k key)
-                   tb.tb_deps
-            then tb :: acc
-            else acc)
-          t.tables []
-        |> List.sort (fun a b ->
-               compare (a.tb_owner, a.tb_key) (b.tb_owner, b.tb_key))
-        |> List.concat_map (fun tb -> fail_table tb reason)
+        List.concat_map
+          (fun tb -> fail_table tb reason)
+          (dependents t ~consumer ~owner:from ~key)
       end
 
 (* ------------------------------------------------------------------ *)
@@ -534,6 +600,13 @@ let crash t peer =
       t.views []
   in
   List.iter (Hashtbl.remove t.views) doomed_views;
+  let doomed_deps =
+    Hashtbl.fold
+      (fun ((c, _, _) as k) _ acc ->
+        if String.equal c peer then k :: acc else acc)
+      t.dependents []
+  in
+  List.iter (Hashtbl.remove t.dependents) doomed_deps;
   Hashtbl.iter
     (fun _ tb ->
       tb.tb_consumers <-
@@ -551,69 +624,32 @@ let crash t peer =
 (* ------------------------------------------------------------------ *)
 (* Quiescence: heal lagging views, then probe the first ready SCC *)
 
-let sorted_views t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.views []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
+(* Only views that need a post — lagging an active table, behind a
+   frozen or failed one, or whose table is missing — are sorted. *)
 let heal t =
-  List.concat_map
-    (fun ((consumer, owner, key), v) ->
-      if Option.is_some v.vw_failed || v.vw_final then []
+  Hashtbl.fold
+    (fun ((consumer, owner, key) as view) v acc ->
+      if Option.is_some v.vw_failed || v.vw_final then acc
       else
         match find_table t owner key with
         | None ->
             (* The original Tquery (and all its retries) vanished; ask
                again. *)
-            [
+            ( view,
               {
                 p_from = consumer;
                 p_target = owner;
                 p_payload =
                   Net.Message.Tquery { goal = v.vw_goal; path = v.vw_path };
-              };
-            ]
-        | Some tb -> (
-            match tb.tb_status with
-            | Failed reason ->
-                [
-                  {
-                    p_from = owner;
-                    p_target = consumer;
-                    p_payload =
-                      Net.Message.Deny { goal = tb.tb_call; reason };
-                  };
-                ]
-            | Complete ->
-                [
-                  {
-                    p_from = owner;
-                    p_target = consumer;
-                    p_payload =
-                      Net.Message.Tanswer
-                        {
-                          goal = tb.tb_call;
-                          instances = List.rev tb.tb_instances;
-                          final = true;
-                        };
-                  };
-                ]
-            | Active ->
-                if Hashtbl.length v.vw_seen < Hashtbl.length tb.tb_seen then
-                  [
-                    {
-                      p_from = owner;
-                      p_target = consumer;
-                      p_payload =
-                        Net.Message.Tanswer
-                          {
-                            goal = tb.tb_call;
-                            instances = List.rev tb.tb_instances;
-                            final = false;
-                          };
-                    };
-                  ]
-                else []))
-    (sorted_views t)
+              } )
+            :: acc
+        | Some { tb_status = Active; tb_seen; _ }
+          when Hashtbl.length v.vw_seen >= Hashtbl.length tb_seen ->
+            acc
+        | Some tb -> (view, state_reply tb ~target:consumer) :: acc)
+    t.views []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 (* Tarjan's SCC algorithm over the active tables, deterministic by
    sorted node order.  Returns SCCs as sorted member lists, in order of

@@ -3,7 +3,9 @@
 
     Each goal skeleton has one table at its owning peer; consumers keep
     monotone views of remote tables, fed by full-list [Tanswer] pushes
-    (idempotent under duplication and reorder).  Acyclic chains complete
+    (idempotent under duplication and reorder).  A table's resumable
+    {!Peertrust_dlp.Tabled.t} lives as long as the table, and a view that
+    grows feeds it only the new instances.  Acyclic chains complete
     bottom-up; genuine cross-peer SCCs are frozen at reactor quiescence
     by an epoch-stamped probe round ([Tprobe]/[Tstat]/[Tcomplete]) in
     which the minimal member — the leader — verifies with the members'
@@ -52,8 +54,9 @@ val handle_answer :
   Literal.t list ->
   final:bool ->
   post list
-(** A [Tanswer] arrived at [consumer]: merge into the view and
-    re-evaluate dependent tables.  Returns [[]] for a top-level request
+(** A [Tanswer] arrived at [consumer]: merge into the view and resume
+    the tables that read it (indexed by view, in table order) with the
+    instances the view gained.  Returns [[]] for a top-level request
     (no view) — the reactor settles those itself. *)
 
 val handle_deny :
@@ -91,8 +94,8 @@ val handle_complete :
     answers to all consumers. *)
 
 val crash : t -> string -> unit
-(** The peer crash-stopped: drop its tables and the views it consumes
-    (volatile state), remove it from surviving tables' consumer lists,
+(** The peer crash-stopped: drop its tables (with their evaluation
+    states) and the views it consumes (volatile state), remove it from surviving tables' consumer lists,
     and abort any in-flight completion round that involves it.  Views
     held {e by others} on the crashed peer's tables stay registered —
     the next {!quiesce} finds their tables missing and re-posts the

@@ -260,6 +260,10 @@ let canon_lit arena cb st (l : Literal.t) =
 
 let canon_set arena st l = canon_lit arena arena.cb1 st l
 
+let canon_key arena st l =
+  canon_lit arena arena.cb1 st l;
+  Array.sub arena.cb1.cb 0 arena.cb1.cn
+
 let canon_eq arena st l =
   canon_lit arena arena.cb2 st l;
   let a = arena.cb1 and b = arena.cb2 in

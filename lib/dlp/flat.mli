@@ -73,6 +73,10 @@ val canon_set : arena -> Store.t -> Literal.t -> unit
 (** Encode the literal (resolved through the store, variables renumbered
     by first occurrence) into the arena's primary canon buffer. *)
 
+val canon_key : arena -> Store.t -> Literal.t -> int array
+(** The canonical encoding as a fresh array: equal keys iff the literals
+    are variants — a hashable table key (overwrites the primary buffer). *)
+
 val canon_eq : arena -> Store.t -> Literal.t -> bool
 (** Encode into the secondary buffer and compare with the primary: [true]
     iff the two literals are variants (equal up to consistent variable

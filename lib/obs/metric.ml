@@ -1,5 +1,5 @@
 type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type gauge = { g_name : string; mutable g_value : float; mutable g_set : bool }
 
 type histogram = {
   h_name : string;
@@ -17,7 +17,7 @@ let default_buckets =
   Array.init 17 (fun i -> Float.of_int (1 lsl i)) (* 1 .. 65536 *)
 
 let counter name = { c_name = name; c_value = 0 }
-let gauge name = { g_name = name; g_value = 0. }
+let gauge name = { g_name = name; g_value = 0.; g_set = false }
 
 let histogram ?(buckets = default_buckets) name =
   let ok =
@@ -44,7 +44,10 @@ let histogram ?(buckets = default_buckets) name =
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let value c = c.c_value
-let set g v = g.g_value <- v
+let set g v =
+  g.g_value <- v;
+  g.g_set <- true
+
 let gauge_value g = g.g_value
 
 let bucket_index bounds v =
@@ -75,7 +78,9 @@ let observe h v =
 let observe_int h v = observe h (Float.of_int v)
 
 let reset_counter c = c.c_value <- 0
-let reset_gauge g = g.g_value <- 0.
+let reset_gauge g =
+  g.g_value <- 0.;
+  g.g_set <- false
 
 let reset_histogram h =
   Array.fill h.counts 0 (Array.length h.counts) 0;

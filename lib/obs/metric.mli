@@ -6,7 +6,11 @@
     them. *)
 
 type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type gauge = {
+  g_name : string;
+  mutable g_value : float;
+  mutable g_set : bool;  (** set since creation or the last reset *)
+}
 
 type histogram = {
   h_name : string;

@@ -52,10 +52,17 @@ let sorted_bindings tbl value =
   Hashtbl.fold (fun name m acc -> (name, value m) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* A gauge nothing set since the last reset is registration noise (every
+   linked subsystem registers its instruments at module init), not a
+   reading of 0: it is left out. *)
 let snapshot t =
   {
     sn_counters = sorted_bindings t.counters Metric.value;
-    sn_gauges = sorted_bindings t.gauges Metric.gauge_value;
+    sn_gauges =
+      sorted_bindings t.gauges (fun g -> g)
+      |> List.filter_map (fun (name, g) ->
+             if g.Metric.g_set then Some (name, Metric.gauge_value g)
+             else None);
     sn_histograms = sorted_bindings t.histograms Metric.snapshot_histogram;
   }
 

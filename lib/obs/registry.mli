@@ -30,6 +30,9 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
+(** Every counter and histogram; gauges only once set since the last
+    {!reset}, so a gauge no run touched is not reported as a reading of 0. *)
+
 val empty_snapshot : snapshot
 
 val counter_value : snapshot -> string -> int

@@ -308,6 +308,20 @@ let test_registry_reset_keeps_cells () =
   Alcotest.(check int) "cell still registered" 1
     (Registry.counter_value (Registry.snapshot r) "c")
 
+let test_registry_unset_gauges_omitted () =
+  let r = Registry.create () in
+  let g = Registry.gauge r "g" in
+  ignore (Registry.gauge r "never");
+  let gauges () = (Registry.snapshot r).Registry.sn_gauges in
+  Alcotest.(check (list (pair string (float 0.)))) "nothing set yet" []
+    (gauges ());
+  Metric.set g 0.;
+  Alcotest.(check (list (pair string (float 0.))))
+    "a gauge set to 0 is reported" [ ("g", 0.) ] (gauges ());
+  Registry.reset r;
+  Alcotest.(check (list (pair string (float 0.)))) "reset unsets" []
+    (gauges ())
+
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
@@ -994,6 +1008,8 @@ let () =
           Alcotest.test_case "registry merge" `Quick test_registry_merge;
           Alcotest.test_case "reset keeps cells" `Quick
             test_registry_reset_keeps_cells;
+          Alcotest.test_case "unset gauges omitted" `Quick
+            test_registry_unset_gauges_omitted;
         ] );
       ( "export",
         [

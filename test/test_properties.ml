@@ -1105,6 +1105,155 @@ let report_tabling_coverage () =
      rejection)\n"
     !tabling_cyclic_runs !tabling_naf_skips
 
+(* Resumable tabling: a state that is fed its remote views a chunk at a
+   time and resumed after each chunk must hold, after every chunk, the
+   answer set of a fresh [Tabled.solve] over the same view prefixes (the
+   oracle), and each resume must return only answers no earlier run
+   returned.  Programs are random, positive and recursive over local
+   predicates p0..p3, with bodies that read the remote predicates r0 @ "a"
+   and r1 @ "b"; a two-literal body binds the second literal's first
+   argument, so one remote predicate is called under several variants. *)
+
+type resume_case = {
+  rc_program : string;
+  rc_top : string;
+  rc_feed : (string * string * (int * int)) list;
+      (* (owner, predicate, args) in delivery order *)
+  rc_chunks : int list;  (* chunk sizes cutting [rc_feed] *)
+}
+
+let gen_resume_case =
+  QCheck.Gen.(
+    let* nlocal = int_range 2 4 in
+    let remote i = if i = 0 then ("a", "r0") else ("b", "r1") in
+    let gen_lit args =
+      let* local = bool in
+      if local then
+        map (fun i -> Printf.sprintf "p%d(%s)" i args) (int_range 0 (nlocal - 1))
+      else
+        map
+          (fun i ->
+            let owner, pred = remote i in
+            Printf.sprintf {|%s(%s) @ "%s"|} pred args owner)
+          (int_range 0 1)
+    in
+    let gen_rule i =
+      let* shape = int_range 0 2 in
+      match shape with
+      | 0 -> map (Printf.sprintf "p%d(X, Y) <- %s.\n" i) (gen_lit "X, Y")
+      | 1 ->
+          map2
+            (Printf.sprintf "p%d(X, Z) <- %s, %s.\n" i)
+            (gen_lit "X, Y") (gen_lit "Y, Z")
+      | _ -> map (Printf.sprintf "p%d(X, Y) <- %s.\n" i) (gen_lit "Y, X")
+    in
+    let* rules =
+      flatten_l
+        (List.init nlocal (fun i ->
+             let* n = int_range 1 2 in
+             list_repeat n (gen_rule i)))
+    in
+    let* facts =
+      list_size (int_range 0 2)
+        (map2 (Printf.sprintf "p0(c%d, c%d).\n") (int_range 1 3) (int_range 1 3))
+    in
+    let* feed =
+      list_size (int_range 1 10)
+        (map2
+           (fun i args ->
+             let owner, pred = remote i in
+             (owner, pred, args))
+           (int_range 0 1)
+           (pair (int_range 1 3) (int_range 1 3)))
+    in
+    let feed = List.sort_uniq compare feed in
+    let* feed = shuffle_l feed in
+    let* chunks = list_size (int_range 1 5) (int_range 1 4) in
+    return
+      {
+        rc_program = String.concat "" (List.concat rules @ facts);
+        rc_top = Printf.sprintf "p%d" (nlocal - 1);
+        rc_feed = feed;
+        rc_chunks = chunks;
+      })
+
+let arb_resume_case =
+  QCheck.make
+    ~print:(fun rc ->
+      Printf.sprintf "top=%s chunks=[%s]\nfeed=%s\n%s" rc.rc_top
+        (String.concat "; " (List.map string_of_int rc.rc_chunks))
+        (String.concat " "
+           (List.map
+              (fun (o, p, (x, y)) -> Printf.sprintf "%s(c%d,c%d)@%s" p x y o)
+              rc.rc_feed))
+        rc.rc_program)
+    gen_resume_case
+
+let prop_tabled_resume_matches_fresh =
+  QCheck.Test.make
+    ~name:"tabled: a resumed state equals a fresh solve after every increment"
+    ~count:(scale 200) arb_resume_case (fun rc ->
+      let kb = Kb.of_string rc.rc_program in
+      let goal = Parser.parse_literal (rc.rc_top ^ "(A, B)") in
+      let instance (owner, pred, (x, y)) =
+        ( owner,
+          Parser.parse_literal (Printf.sprintf "%s(c%d, c%d)" pred x y) )
+      in
+      (* The view of [lit] at [target] within a prefix of the feed: the
+         instances of the call, in delivery order. *)
+      let view prefix ~target lit =
+        List.filter_map
+          (fun (owner, inst) ->
+            if
+              String.equal owner target
+              && Option.is_some (Literal.unify lit inst Subst.empty)
+            then Some inst
+            else None)
+          prefix
+      in
+      let answer_set substs =
+        List.map (fun s -> Literal.to_string (Literal.apply s goal)) substs
+        |> List.sort_uniq String.compare
+      in
+      let prefix = ref [] in
+      let calls = ref [] in
+      let state =
+        Tabled.create ~self:"p" kb [ goal ]
+          ~remote:(fun ~target lit ->
+            calls := (target, lit) :: !calls;
+            view !prefix ~target lit)
+      in
+      let returned = ref [] in
+      let resume () =
+        returned := Tabled.run state @ !returned;
+        let got = answer_set !returned in
+        let oracle =
+          answer_set
+            (Tabled.solve ~self:"p" kb [ goal ] ~remote:(fun ~target lit ->
+                 view !prefix ~target lit))
+        in
+        got = oracle && List.length got = List.length !returned
+      in
+      let rec feed ok rest chunks =
+        match (rest, chunks) with
+        | [], _ -> ok
+        | _, [] -> feed ok rest [ List.length rest ]
+        | _, n :: chunks ->
+            let chunk = List.filteri (fun i _ -> i < n) rest in
+            let rest = List.filteri (fun i _ -> i >= n) rest in
+            let chunk = List.map instance chunk in
+            (* Feed the chunk to every call made so far, then extend the
+               prefix: calls made while resuming read it whole. *)
+            List.iter
+              (fun (target, lit) ->
+                Tabled.extend state ~target lit (view chunk ~target lit))
+              !calls;
+            prefix := !prefix @ chunk;
+            feed (ok && resume ()) rest chunks
+      in
+      let first = resume () in
+      feed first rc.rc_feed rc.rc_chunks)
+
 (* The new tabling control headers under the same wire discipline as the
    rest of the envelope header: decode inverts encode across all five
    variants (peer names and goal keys are hex-armoured, so arbitrary
@@ -1466,6 +1615,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_distributed_tabling_agrees;
+            prop_tabled_resume_matches_fresh;
             prop_tabling_wire_roundtrip;
             prop_tabling_wire_mutated_total;
             prop_tabling_wire_stream_total;

@@ -894,6 +894,149 @@ let test_tabling_naf_unsupported () =
   | Negotiation.Granted _ ->
       Alcotest.fail "NAF under distributed tabling must deny as unsupported"
 
+(* Wire-level pins: the full (from, target, summary, bytes) transcripts
+   of the tabled ring and federation runs, so a change to how tables are
+   evaluated cannot reorder, add or resize a single message unnoticed. *)
+
+let pinned_ring2_transcript =
+  [
+    {|client -> peer0: tquery accredited(X) (depth 0) [21]|};
+    {|peer0 -> peer1: tquery accredited(G0) (depth 1) [34]|};
+    {|peer0 -> client: tanswer accredited(X): 1 instance(s) [39]|};
+    {|peer1 -> peer0: tquery accredited(G0) (depth 2) [46]|};
+    {|peer1 -> peer0: tanswer accredited(G0): 0 instance(s) [22]|};
+    {|peer0 -> peer1: tanswer accredited(X): 1 instance(s) [39]|};
+    {|peer1 -> peer0: tanswer accredited(G0): 1 instance(s) [40]|};
+    {|peer0 -> peer1: tprobe peer0/accredited(_V0):- epoch 1, 2 member(s) [40]|};
+    {|peer1 -> peer0: tstat peer0/accredited(_V0):- epoch 1, 1 table(s) [44]|};
+    {|peer0 -> peer1: tcomplete peer0/accredited(_V0):- epoch 1, 2 member(s) [40]|};
+    {|peer0 -> client: tanswer accredited(X): 1 instance(s), final [39]|};
+    {|peer0 -> peer1: tanswer accredited(X): 1 instance(s), final [39]|};
+    {|peer1 -> peer0: tanswer accredited(G0): 1 instance(s), final [40]|};
+  ]
+
+let pinned_ring4_transcript =
+  [
+    {|client -> peer0: tquery accredited(X) (depth 0) [21]|};
+    {|peer0 -> peer1: tquery accredited(G0) (depth 1) [34]|};
+    {|peer0 -> client: tanswer accredited(X): 1 instance(s) [39]|};
+    {|peer1 -> peer2: tquery accredited(G0) (depth 2) [46]|};
+    {|peer1 -> peer0: tanswer accredited(G0): 0 instance(s) [22]|};
+    {|peer2 -> peer3: tquery accredited(G0) (depth 3) [58]|};
+    {|peer2 -> peer1: tanswer accredited(G0): 0 instance(s) [22]|};
+    {|peer3 -> peer0: tquery accredited(G0) (depth 4) [70]|};
+    {|peer3 -> peer2: tanswer accredited(G0): 0 instance(s) [22]|};
+    {|peer0 -> peer3: tanswer accredited(X): 1 instance(s) [39]|};
+    {|peer3 -> peer2: tanswer accredited(G0): 1 instance(s) [40]|};
+    {|peer2 -> peer1: tanswer accredited(G0): 1 instance(s) [40]|};
+    {|peer1 -> peer0: tanswer accredited(G0): 1 instance(s) [40]|};
+    {|peer0 -> peer1: tprobe peer0/accredited(_V0):- epoch 1, 4 member(s) [64]|};
+    {|peer0 -> peer2: tprobe peer0/accredited(_V0):- epoch 1, 4 member(s) [64]|};
+    {|peer0 -> peer3: tprobe peer0/accredited(_V0):- epoch 1, 4 member(s) [64]|};
+    {|peer1 -> peer0: tstat peer0/accredited(_V0):- epoch 1, 1 table(s) [44]|};
+    {|peer2 -> peer0: tstat peer0/accredited(_V0):- epoch 1, 1 table(s) [44]|};
+    {|peer3 -> peer0: tstat peer0/accredited(_V0):- epoch 1, 1 table(s) [44]|};
+    {|peer0 -> peer1: tcomplete peer0/accredited(_V0):- epoch 1, 4 member(s) [64]|};
+    {|peer0 -> peer2: tcomplete peer0/accredited(_V0):- epoch 1, 4 member(s) [64]|};
+    {|peer0 -> peer3: tcomplete peer0/accredited(_V0):- epoch 1, 4 member(s) [64]|};
+    {|peer0 -> client: tanswer accredited(X): 1 instance(s), final [39]|};
+    {|peer0 -> peer3: tanswer accredited(X): 1 instance(s), final [39]|};
+    {|peer1 -> peer0: tanswer accredited(G0): 1 instance(s), final [40]|};
+    {|peer2 -> peer1: tanswer accredited(G0): 1 instance(s), final [40]|};
+    {|peer3 -> peer2: tanswer accredited(G0): 1 instance(s), final [40]|};
+  ]
+
+let pinned_federation_3x2_transcript =
+  [
+    {|client -> c0p0: tquery accredited(X) (depth 0) [21]|};
+    {|c0p0 -> c0p1: tquery accredited(G0) (depth 1) [34]|};
+    {|c0p0 -> c1p0: tquery accredited(G0) (depth 1) [34]|};
+    {|c0p0 -> client: tanswer accredited(X): 1 instance(s) [42]|};
+    {|c0p1 -> c0p0: tquery accredited(G0) (depth 2) [46]|};
+    {|c0p1 -> c0p0: tanswer accredited(G0): 0 instance(s) [22]|};
+    {|c1p0 -> c1p1: tquery accredited(G0) (depth 2) [46]|};
+    {|c1p0 -> c2p0: tquery accredited(G0) (depth 2) [46]|};
+    {|c1p0 -> c0p0: tanswer accredited(G0): 1 instance(s) [43]|};
+    {|c0p0 -> c0p1: tanswer accredited(X): 1 instance(s) [42]|};
+    {|c1p1 -> c1p0: tquery accredited(G0) (depth 3) [58]|};
+    {|c1p1 -> c1p0: tanswer accredited(G0): 0 instance(s) [22]|};
+    {|c2p0 -> c2p1: tquery accredited(G0) (depth 3) [58]|};
+    {|c2p0 -> c1p0: tanswer accredited(G0): 1 instance(s) [43]|};
+    {|c0p0 -> client: tanswer accredited(X): 2 instance(s) [63]|};
+    {|c0p0 -> c0p1: tanswer accredited(X): 2 instance(s) [63]|};
+    {|c0p1 -> c0p0: tanswer accredited(G0): 1 instance(s) [43]|};
+    {|c1p0 -> c1p1: tanswer accredited(G0): 1 instance(s) [43]|};
+    {|c2p1 -> c2p0: tquery accredited(G0) (depth 4) [70]|};
+    {|c2p1 -> c2p0: tanswer accredited(G0): 0 instance(s) [22]|};
+    {|c1p0 -> c0p0: tanswer accredited(G0): 2 instance(s) [64]|};
+    {|c1p0 -> c1p1: tanswer accredited(G0): 2 instance(s) [64]|};
+    {|c0p1 -> c0p0: tanswer accredited(G0): 2 instance(s) [64]|};
+    {|c1p1 -> c1p0: tanswer accredited(G0): 1 instance(s) [43]|};
+    {|c2p0 -> c2p1: tanswer accredited(G0): 1 instance(s) [43]|};
+    {|c0p0 -> client: tanswer accredited(X): 3 instance(s) [84]|};
+    {|c0p0 -> c0p1: tanswer accredited(X): 3 instance(s) [84]|};
+    {|c1p1 -> c1p0: tanswer accredited(G0): 2 instance(s) [64]|};
+    {|c2p1 -> c2p0: tanswer accredited(G0): 1 instance(s) [43]|};
+    {|c0p1 -> c0p0: tanswer accredited(G0): 3 instance(s) [85]|};
+    {|c2p0 -> c2p1: tprobe c2p0/accredited(_V0):- epoch 1, 2 member(s) [40]|};
+    {|c2p1 -> c2p0: tstat c2p0/accredited(_V0):- epoch 1, 1 table(s) [44]|};
+    {|c2p0 -> c2p1: tcomplete c2p0/accredited(_V0):- epoch 1, 2 member(s) [40]|};
+    {|c2p0 -> c1p0: tanswer accredited(G0): 1 instance(s), final [43]|};
+    {|c2p0 -> c2p1: tanswer accredited(G0): 1 instance(s), final [43]|};
+    {|c2p1 -> c2p0: tanswer accredited(G0): 1 instance(s), final [43]|};
+    {|c1p0 -> c1p1: tprobe c1p0/accredited(_V0):- epoch 2, 2 member(s) [40]|};
+    {|c1p1 -> c1p0: tstat c1p0/accredited(_V0):- epoch 2, 1 table(s) [44]|};
+    {|c1p0 -> c1p1: tcomplete c1p0/accredited(_V0):- epoch 2, 2 member(s) [40]|};
+    {|c1p0 -> c0p0: tanswer accredited(G0): 2 instance(s), final [64]|};
+    {|c1p0 -> c1p1: tanswer accredited(G0): 2 instance(s), final [64]|};
+    {|c1p1 -> c1p0: tanswer accredited(G0): 2 instance(s), final [64]|};
+    {|c0p0 -> c0p1: tprobe c0p0/accredited(_V0):- epoch 3, 2 member(s) [40]|};
+    {|c0p1 -> c0p0: tstat c0p0/accredited(_V0):- epoch 3, 1 table(s) [44]|};
+    {|c0p0 -> c0p1: tcomplete c0p0/accredited(_V0):- epoch 3, 2 member(s) [40]|};
+    {|c0p0 -> client: tanswer accredited(X): 3 instance(s), final [84]|};
+    {|c0p0 -> c0p1: tanswer accredited(X): 3 instance(s), final [84]|};
+    {|c0p1 -> c0p0: tanswer accredited(G0): 3 instance(s), final [85]|};
+  ]
+
+let tabled_transcript rw =
+  ignore
+    (run_tabled rw.Scenario.rw_session ~requester:rw.Scenario.rw_requester
+       ~target:rw.Scenario.rw_target rw.Scenario.rw_goal);
+  List.map
+    (fun e ->
+      Printf.sprintf "%s -> %s: %s [%d]" e.Net.Network.from e.Net.Network.target
+        e.Net.Network.summary e.Net.Network.bytes_)
+    (Net.Network.transcript rw.Scenario.rw_session.Session.network)
+
+let test_tabling_transcripts_pinned () =
+  Alcotest.(check (list string))
+    "two-peer ring" pinned_ring2_transcript
+    (tabled_transcript (Scenario.mutual_accreditation ~n:2 ()));
+  Alcotest.(check (list string))
+    "four-peer ring" pinned_ring4_transcript
+    (tabled_transcript (Scenario.mutual_accreditation ~n:4 ()));
+  Alcotest.(check (list string))
+    "3x2 federation" pinned_federation_3x2_transcript
+    (tabled_transcript (Scenario.federation ~clusters:3 ~size:2 ()))
+
+let test_tabling_large_federation_pinned () =
+  let rw = Scenario.federation ~clusters:16 ~size:8 () in
+  let outcome, reactor =
+    run_tabled rw.Scenario.rw_session ~requester:rw.Scenario.rw_requester
+      ~target:rw.Scenario.rw_target rw.Scenario.rw_goal
+  in
+  Alcotest.(check (list string))
+    "every member accredited" (expected_strings rw) (sorted_instances outcome);
+  Alcotest.(check int) "messages" 1624
+    (Net.Stats.messages (Net.Network.stats rw.Scenario.rw_session.Session.network));
+  let summary = Reactor.tabling_summary reactor in
+  Alcotest.(check int) "tables" 128 (List.length summary);
+  Alcotest.(check int) "complete tables" 128
+    (List.length
+       (List.filter (fun (_, _, _, status) -> status = "complete") summary));
+  Alcotest.(check int) "answers across the tables" 1088
+    (List.fold_left (fun acc (_, _, n, _) -> acc + n) 0 summary)
+
 let test_tabling_cached_rerun () =
   (* With a cache attached, a second identical request is served from
      the completed table's cached answer without new wire traffic. *)
@@ -1257,6 +1400,8 @@ let () =
           tc "acyclic chain" test_tabling_acyclic_chain;
           tc "NAF unsupported" test_tabling_naf_unsupported;
           tc "cached rerun" test_tabling_cached_rerun;
+          tc "transcripts pinned" test_tabling_transcripts_pinned;
+          tc "16x8 federation pinned" test_tabling_large_federation_pinned;
           tc "cache completed gate" test_cache_completed_gate;
         ] );
       ( "guard",
