@@ -27,6 +27,21 @@ if grep -rn 'Metric\.value' lib --exclude-dir=obs; then
   exit 1
 fi
 
+# One home for signature checking: RSA verification runs only in the
+# certificate check behind the keystore's memo (crypto/cert.ml), in Rsa
+# itself and for the proof-package signature (core/proof.ml); in lib/core
+# only Session's entry point calls Cert.verify.
+if grep -rn 'Rsa\.verify' lib --include='*.ml' \
+  | grep -v -e '^lib/crypto/cert\.ml:' -e '^lib/crypto/rsa\.ml:' \
+    -e '^lib/core/proof\.ml:'; then
+  echo "check: Rsa.verify called outside Cert, Rsa and Proof" >&2
+  exit 1
+fi
+if grep -rn 'Cert\.verify' lib/core | grep -v '^lib/core/session\.mli\{0,1\}:'; then
+  echo "check: Cert.verify called in lib/core outside Session.verify_cert" >&2
+  exit 1
+fi
+
 # The committed BENCH_*.json baselines must come out of the run untouched:
 # every artifact below goes to the scratch dir.  Checked at the end.
 bench_sums=$(cksum BENCH_*.json)

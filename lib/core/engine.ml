@@ -12,8 +12,6 @@ let src = Logs.Src.create "peertrust.engine" ~doc:"PeerTrust negotiation engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let fresh_counter = ref 0
-
 let m_queries = Obs.counter "engine.queries"
 let m_answers = Obs.counter "engine.answers"
 let m_denials = Obs.counter "engine.denials"
@@ -22,15 +20,9 @@ let m_certs_rejected = Obs.counter "engine.certs_rejected"
 let h_proof_depth = Obs.histogram "engine.proof_depth"
 
 let learn ?from_ session peer certs =
-  let ok (cert : Crypto.Cert.t) =
-    (not session.Session.config.Session.verify_signatures)
-    || Crypto.Cert.verify session.Session.keystore
-         ~now:session.Session.config.Session.now cert
-       = Ok ()
-  in
   List.iter
     (fun (c : Crypto.Cert.t) ->
-      if ok c then begin
+      if Session.admits_cert session c then begin
         Metric.incr m_certs_learned;
         Peer.add_cert ?origin:from_ peer c
       end
@@ -221,11 +213,11 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
       ~finally:(fun () -> Peer.leave peer ~requester goal)
       (fun () ->
         let config = session.Session.config in
-        let serials_before =
-          Hashtbl.fold
-            (fun _ (c : Crypto.Cert.t) acc -> c.Crypto.Cert.serial :: acc)
-            peer.Peer.certs []
-        in
+        let serials_before = Hashtbl.create (Hashtbl.length peer.Peer.certs) in
+        Hashtbl.iter
+          (fun _ (c : Crypto.Cert.t) ->
+            Hashtbl.replace serials_before c.Crypto.Cert.serial ())
+          peer.Peer.certs;
         let bindings =
           Subst.bind "Requester" (Term.str requester)
             (Subst.bind "Self" (Term.str peer.Peer.name) Subst.empty)
@@ -275,10 +267,9 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
           | None -> ()
           | Some _ ->
               saw_release_rule := true;
-              incr fresh_counter;
-              let r =
-                Rule.rename ~suffix:(Printf.sprintf "~e%d" !fresh_counter) rule
-              in
+              incr session.Session.renames;
+              let suffix = Printf.sprintf "~e%d" !(session.Session.renames) in
+              let r = Rule.rename ~suffix rule in
               let ctx = Option.value ~default:[] r.Rule.head_ctx in
               let ctx_builtin, ctx_rest = split_ctx ctx in
               try_heads (Policy.credential_heads r) (fun s0 ->
@@ -344,10 +335,9 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
           in
           if Rule.is_signed rule && builtin_only_body && not (full ())
           then begin
-            incr fresh_counter;
-            let r =
-              Rule.rename ~suffix:(Printf.sprintf "~c%d" !fresh_counter) rule
-            in
+            incr session.Session.renames;
+            let suffix = Printf.sprintf "~c%d" !(session.Session.renames) in
+            let r = Rule.rename ~suffix rule in
             try_heads (Policy.credential_heads r) (fun s0 ->
                 saw_release_rule := true;
                 let prover =
@@ -398,7 +388,7 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
               Hashtbl.fold
                 (fun _ (c : Crypto.Cert.t) acc ->
                   if
-                    List.mem c.Crypto.Cert.serial serials_before
+                    Hashtbl.mem serials_before c.Crypto.Cert.serial
                     || Peer.cert_origin peer c = Some requester
                   then acc
                   else if

@@ -80,10 +80,10 @@ type breaker =
 type t
 
 val create : ?config:config -> verify:(Peertrust_crypto.Cert.t -> bool) -> unit -> t
-(** [verify] checks one inbound certificate (typically
-    {!Peertrust_crypto.Cert.verify} against the session keystore at the
-    session's validity instant; [fun _ -> true] when the session has
-    signature verification off). *)
+(** [verify] checks one inbound certificate.  The reactor passes
+    [Session.admits_cert]: the session keystore's memoised check at the
+    session's validity instant, or acceptance when the session has
+    signature verification off. *)
 
 val config : t -> config
 

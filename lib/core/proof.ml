@@ -141,10 +141,7 @@ let verify session t =
           match find_cert rule with
           | None -> Error (Missing_certificate rule)
           | Some cert -> (
-              match
-                Crypto.Cert.verify session.Session.keystore
-                  ~now:session.Session.config.Session.now cert
-              with
+              match Session.verify_cert session cert with
               | Ok () -> check_certs rest
               | Error e -> Error (Certificate_invalid e)))
     in

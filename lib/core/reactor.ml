@@ -226,13 +226,6 @@ let create ?(config = default_config) session =
       Net.Network.register session.Session.network name (fun ~from:_ _ ->
           Net.Message.Ack))
     session.Session.peers;
-  let verify =
-    if session.Session.config.Session.verify_signatures then fun c ->
-      Peertrust_crypto.Cert.verify session.Session.keystore
-        ~now:session.Session.config.Session.now c
-      = Ok ()
-    else fun _ -> true
-  in
   let events =
     Net.Faults.crashes (Net.Network.faults session.Session.network)
     |> List.concat_map (fun (peer, at_tick, restart_tick) ->
@@ -265,7 +258,8 @@ let create ?(config = default_config) session =
       session;
       config;
       guard =
-        Guard.create ~config:session.Session.config.Session.guard ~verify ();
+        Guard.create ~config:session.Session.config.Session.guard
+          ~verify:(Session.admits_cert session) ();
       adversaries = Hashtbl.create 4;
       peers;
       dq = Dq.empty;

@@ -23,6 +23,7 @@ type t = {
   peers : (string, Peer.t) Hashtbl.t;
   config : config;
   depth : int ref;
+  renames : int ref;
 }
 
 let create ?(config = default_config) ?latency ?max_messages ?(seed = 1L)
@@ -33,7 +34,14 @@ let create ?(config = default_config) ?latency ?max_messages ?(seed = 1L)
     peers = Hashtbl.create 16;
     config;
     depth = ref 0;
+    renames = ref 0;
   }
+
+let verify_cert t cert =
+  Peertrust_crypto.Cert.verify t.keystore ~now:t.config.now cert
+
+let admits_cert t cert =
+  (not t.config.verify_signatures) || verify_cert t cert = Ok ()
 
 let issue_signed_rules t peer =
   List.iter

@@ -26,6 +26,10 @@ type t = {
   peers : (string, Peer.t) Hashtbl.t;
   config : config;
   depth : int ref;  (** current nested query depth *)
+  renames : int ref;
+      (** rules the engine has renamed apart ([X~e12]): suffixes are unique
+          within the session, so a process that builds many sessions
+          interns the same variable names again instead of new ones *)
 }
 
 val create :
@@ -36,6 +40,17 @@ val create :
   ?key_bits:int ->
   unit ->
   t
+
+val verify_cert :
+  t -> Peertrust_crypto.Cert.t -> (unit, Peertrust_crypto.Cert.error) result
+(** The one place certificates are checked: {!Peertrust_crypto.Cert.verify}
+    against the session keystore (and its signature memo) at
+    [config.now].  Tokens and proof packages call it directly. *)
+
+val admits_cert : t -> Peertrust_crypto.Cert.t -> bool
+(** Whether an inbound certificate may be learned: {!verify_cert}
+    succeeds, or [config.verify_signatures] is off.  The engine's learning
+    step and the reactor's guard both use it. *)
 
 val add_peer :
   t ->

@@ -51,10 +51,7 @@ let redeem session ~issuer ~bearer ~goal (token : t) =
       else if not (String.equal service (service_skeleton goal)) then
         Error Wrong_service
       else (
-        match
-          Crypto.Cert.verify session.Session.keystore
-            ~now:session.Session.config.Session.now token
-        with
+        match Session.verify_cert session token with
         | Ok () -> Ok ()
         | Error e -> Error (Invalid e))
   | _ -> Error Not_a_token

@@ -398,14 +398,25 @@ let to_bytes_be ?size a =
         else s
   in
   let b = Bytes.make total '\000' in
-  let v = ref a in
-  let i = ref (total - 1) in
-  while not (is_zero !v) do
-    let q, r = divmod_small !v 256 in
-    Bytes.set b !i (Char.chr r);
-    v := q;
+  (* One walk over the limbs, low to high: [acc] holds the [acc_bits]
+     bits not yet written, emitted a byte at a time from the end.  Bytes
+     past the top of [b] are the top limb's zero high bits. *)
+  let acc = ref 0 and acc_bits = ref 0 and i = ref (total - 1) in
+  let emit () =
+    if !i >= 0 then Bytes.unsafe_set b !i (Char.unsafe_chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    acc_bits := !acc_bits - 8;
     decr i
-  done;
+  in
+  Array.iter
+    (fun limb ->
+      acc := !acc lor (limb lsl !acc_bits);
+      acc_bits := !acc_bits + limb_bits;
+      while !acc_bits >= 8 do
+        emit ()
+      done)
+    a;
+  if !acc <> 0 then emit ();
   b
 
 let of_string s =

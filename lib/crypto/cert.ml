@@ -1,3 +1,6 @@
+module Obs = Peertrust_obs.Obs
+module Metric = Peertrust_obs.Metric
+
 type t = {
   serial : int;
   rule : Peertrust_dlp.Rule.t;
@@ -36,6 +39,13 @@ let issue ks ?(not_before = 0) ?(not_after = max_int) rule =
       in
       Ok { cert with signatures }
 
+let m_rsa_verifies = Obs.counter "crypto.rsa_verifies"
+
+(* A signature equal to the one the keystore memoised for (payload,
+   signer) is valid without RSA: the memo holds only signatures that
+   verified, and a signer's key never changes within its keystore.  The
+   signatures RSA accepted are memoised only once the whole certificate
+   verifies, so a rejected certificate leaves the memo unchanged. *)
 let verify ks ?(now = 0) t =
   if Keystore.is_revoked ks ~serial:t.serial then Error (Revoked t.serial)
   else if now < t.not_before || now > t.not_after then Error (Expired { now })
@@ -43,18 +53,27 @@ let verify ks ?(now = 0) t =
     match t.rule.Peertrust_dlp.Rule.signer with
     | [] -> Error Unsigned_rule
     | signers ->
-        let msg = payload t in
-        let check acc signer =
-          match acc with
-          | Error _ as e -> e
-          | Ok () -> (
+        let payload = payload t in
+        let rec check fresh = function
+          | [] ->
+              List.iter
+                (fun (signer, s) ->
+                  Keystore.remember_verified ks ~payload ~signer s)
+                fresh;
+              Ok ()
+          | signer :: rest -> (
               match List.assoc_opt signer t.signatures with
               | None -> Error (Missing_signature signer)
-              | Some s ->
-                  if Rsa.verify (Keystore.public ks signer) msg s then Ok ()
-                  else Error (Bad_signature signer))
+              | Some s -> (
+                  match Keystore.verified ks ~payload ~signer with
+                  | Some s' when Bignum.equal s s' -> check fresh rest
+                  | Some _ | None ->
+                      Metric.incr m_rsa_verifies;
+                      if Rsa.verify (Keystore.public ks signer) payload s then
+                        check ((signer, s) :: fresh) rest
+                      else Error (Bad_signature signer)))
         in
-        List.fold_left check (Ok ()) signers
+        check [] signers
   end
 
 let pp_error fmt = function

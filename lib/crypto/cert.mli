@@ -33,7 +33,13 @@ val issue :
     Unsigned_rule] when the rule lists no signers. *)
 
 val verify : Keystore.t -> ?now:int -> t -> (unit, error) result
-(** Check every signature, the validity window, and the revocation set. *)
+(** Check the revocation set, the validity window, and every signature.
+    Revocation and the window are checked on every call; a signature is
+    checked with RSA only when it differs from the one the keystore's memo
+    holds for (payload, signer) (see {!Keystore.verified}).  The
+    signatures of a certificate that verifies are memoised; a rejected
+    certificate leaves the memo unchanged.  Each RSA check counts
+    [crypto.rsa_verifies]. *)
 
 val payload : t -> string
 (** The signed byte string (canonical rule plus validity and serial). *)

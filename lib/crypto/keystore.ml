@@ -5,6 +5,11 @@ type t = {
   mutable order : string list;  (* reverse generation order *)
   revoked : (int, unit) Hashtbl.t;
   mutable next_serial : int;
+  verified : (string * string, Bignum.t) Hashtbl.t;
+      (* (signed payload, signer) -> the signature that verified.  Only
+         successes enter.  [keys] never replaces a generated pair, so
+         within one keystore the signer name fixes the public key an
+         entry was checked against. *)
 }
 
 let create ?(bits = 384) ~seed () =
@@ -15,6 +20,7 @@ let create ?(bits = 384) ~seed () =
     order = [];
     revoked = Hashtbl.create 16;
     next_serial = 1;
+    verified = Hashtbl.create 64;
   }
 
 let keypair t name =
@@ -44,3 +50,10 @@ let fresh_serial t =
   s
 
 let principals t = List.rev t.order
+
+let verified t ~payload ~signer = Hashtbl.find_opt t.verified (payload, signer)
+
+let remember_verified t ~payload ~signer signature =
+  Hashtbl.replace t.verified (payload, signer) signature
+
+let verified_count t = Hashtbl.length t.verified

@@ -1,5 +1,5 @@
-(** The simulated PKI: key pairs for peers and authorities, plus a
-    certificate-revocation set.
+(** The simulated PKI: key pairs for peers and authorities, a
+    certificate-revocation set, and a memo of verified signatures.
 
     One keystore value models the world's key infrastructure in a
     simulation run.  Keys are generated deterministically from the store's
@@ -29,3 +29,22 @@ val fresh_serial : t -> int
 
 val principals : t -> string list
 (** Principals with generated keys, in generation order. *)
+
+(** {2 Signature memo}
+
+    The signatures {!Cert.verify} has checked with RSA, keyed by signed
+    payload and signer.  Only signatures that verified are stored, so a
+    forgery never enters.  A principal's key pair is never replaced once
+    generated, so within one keystore the signer name fixes the public key
+    an entry was checked against; the memo is scoped to its keystore (one
+    world) and is never shared across keystores. *)
+
+val verified : t -> payload:string -> signer:string -> Bignum.t option
+(** The signature of [signer] over [payload] that verified, if any. *)
+
+val remember_verified :
+  t -> payload:string -> signer:string -> Bignum.t -> unit
+(** Record a signature that {!Rsa.verify} accepted. *)
+
+val verified_count : t -> int
+(** Number of memoised (payload, signer) pairs. *)

@@ -672,6 +672,227 @@ let prop_cert_roundtrip =
       | Ok cert -> Crypto.Cert.verify ks cert = Ok ()
       | Error _ -> false)
 
+(* The keystore's signature memo against the unmemoised check it
+   replaces: random sequences of genuine, tampered, re-signed, revoked and
+   out-of-window presentations to one keystore. *)
+
+(* [Cert.verify] without the memo: every signature checked with RSA on
+   every call. *)
+let unmemoised_verify ks ?(now = 0) (t : Crypto.Cert.t) =
+  let open Crypto in
+  if Keystore.is_revoked ks ~serial:t.Cert.serial then
+    Error (Cert.Revoked t.Cert.serial)
+  else if now < t.Cert.not_before || now > t.Cert.not_after then
+    Error (Cert.Expired { now })
+  else
+    match t.Cert.rule.Rule.signer with
+    | [] -> Error Cert.Unsigned_rule
+    | signers ->
+        let msg = Cert.payload t in
+        List.fold_left
+          (fun acc signer ->
+            match acc with
+            | Error _ -> acc
+            | Ok () -> (
+                match List.assoc_opt signer t.Cert.signatures with
+                | None -> Error (Cert.Missing_signature signer)
+                | Some s ->
+                    if Rsa.verify (Keystore.public ks signer) msg s then Ok ()
+                    else Error (Cert.Bad_signature signer)))
+          (Ok ()) signers
+
+type memo_variant =
+  | Genuine
+  | Bumped_signature  (** signature plus one *)
+  | Borrowed_signature  (** another certificate's genuine signature *)
+  | Tampered_serial
+  | Tampered_window
+  | Tampered_rule
+  | Swapped_signer  (** CA and Uni trade names in signers and signatures *)
+
+type memo_op = Present of int * memo_variant * int | Revoke of int
+
+let memo_rules =
+  [|
+    ({|member("alice") @ "CA" signedBy ["CA"].|}, None);
+    ({|student("bob") @ "Uni" signedBy ["Uni"].|}, Some (10, 20));
+    ({|accredited("Uni") @ "CA" signedBy ["CA", "Uni"].|}, None);
+  |]
+
+let memo_variants =
+  [
+    (Genuine, "genuine");
+    (Bumped_signature, "bumped signature");
+    (Borrowed_signature, "borrowed signature");
+    (Tampered_serial, "tampered serial");
+    (Tampered_window, "tampered window");
+    (Tampered_rule, "tampered rule");
+    (Swapped_signer, "swapped signer");
+  ]
+
+let arb_memo_ops =
+  let n = Array.length memo_rules in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Present (i, v, now) ->
+                 Printf.sprintf "present %d (%s) at %d" i
+                   (List.assoc v memo_variants) now
+             | Revoke i -> Printf.sprintf "revoke %d" i)
+           ops))
+    QCheck.Gen.(
+      list_size (int_range 1 24)
+        (frequency
+           [
+             ( 8,
+               map3
+                 (fun i v now -> Present (i, v, now))
+                 (int_bound (n - 1))
+                 (oneofl (List.map fst memo_variants))
+                 (oneofl [ 0; 5; 10; 15; 20; 25 ]) );
+             (1, map (fun i -> Revoke i) (int_bound (n - 1)));
+           ]))
+
+let swap_signer = function "CA" -> "Uni" | "Uni" -> "CA" | s -> s
+
+let present certs i variant =
+  let c = certs.(i) in
+  let other = certs.((i + 1) mod Array.length certs) in
+  let open Crypto.Cert in
+  match variant with
+  | Genuine -> c
+  | Bumped_signature ->
+      {
+        c with
+        signatures =
+          List.map (fun (n, s) -> (n, Crypto.Bignum.add s Crypto.Bignum.one))
+            c.signatures;
+      }
+  | Borrowed_signature ->
+      let _, s = List.hd other.signatures in
+      { c with signatures = List.map (fun (n, _) -> (n, s)) c.signatures }
+  | Tampered_serial -> { c with serial = c.serial + 100 }
+  | Tampered_window -> { c with not_before = c.not_before + 1 }
+  | Tampered_rule ->
+      { c with rule = { other.rule with Rule.signer = c.rule.Rule.signer } }
+  | Swapped_signer ->
+      {
+        c with
+        rule =
+          { c.rule with Rule.signer = List.map swap_signer c.rule.Rule.signer };
+        signatures = List.map (fun (n, s) -> (swap_signer n, s)) c.signatures;
+      }
+
+let prop_cert_memo_differential =
+  QCheck.Test.make
+    ~name:"cert: memoised verify equals the unmemoised check"
+    ~count:(scale 20) arb_memo_ops (fun ops ->
+      let ks = Crypto.Keystore.create ~bits:320 ~seed:11L () in
+      let certs =
+        Array.map
+          (fun (src, window) ->
+            let not_before, not_after =
+              match window with
+              | Some (a, b) -> (Some a, Some b)
+              | None -> (None, None)
+            in
+            match
+              Crypto.Cert.issue ks ?not_before ?not_after
+                (Parser.parse_rule src)
+            with
+            | Ok c -> c
+            | Error e ->
+                QCheck.Test.fail_reportf "issue: %a" Crypto.Cert.pp_error e)
+          memo_rules
+      in
+      List.for_all
+        (function
+          | Revoke i ->
+              Crypto.Keystore.revoke ks ~serial:certs.(i).Crypto.Cert.serial;
+              true
+          | Present (i, variant, now) ->
+              let c = present certs i variant in
+              let payload = Crypto.Cert.payload c in
+              let memo_before = Crypto.Keystore.verified_count ks in
+              let got = Crypto.Cert.verify ks ~now c in
+              let want = unmemoised_verify ks ~now c in
+              if got <> want then
+                QCheck.Test.fail_reportf "memoised and unmemoised disagree";
+              (* A rejected certificate leaves the memo as it was, and a
+                 signature RSA rejects is never memoised. *)
+              (match got with
+              | Ok () -> ()
+              | Error _ ->
+                  if Crypto.Keystore.verified_count ks <> memo_before then
+                    QCheck.Test.fail_reportf
+                      "a rejected certificate grew the memo");
+              List.iter
+                (fun (signer, s) ->
+                  let genuine =
+                    Crypto.Rsa.verify
+                      (Crypto.Keystore.public ks signer)
+                      payload s
+                  in
+                  match Crypto.Keystore.verified ks ~payload ~signer with
+                  | Some s' when Crypto.Bignum.equal s s' && not genuine ->
+                      QCheck.Test.fail_reportf "a forged signature was memoised"
+                  | Some _ | None -> ())
+                c.Crypto.Cert.signatures;
+              true)
+        ops)
+
+(* [Bignum.to_bytes_be] against the byte-at-a-time division it replaces,
+   with and without [?size] padding, zero included. *)
+let reference_to_bytes_be ?size a =
+  let open Crypto.Bignum in
+  let nbytes = max 1 ((bits a + 7) / 8) in
+  let total =
+    match size with
+    | None -> nbytes
+    | Some s ->
+        if s < nbytes then invalid_arg "Bignum.to_bytes_be: size too small"
+        else s
+  in
+  let b = Bytes.make total '\000' in
+  let v = ref a and i = ref (total - 1) in
+  while not (is_zero !v) do
+    let q, r = divmod !v (of_int 256) in
+    Bytes.set b !i (Char.chr (Option.get (to_int_opt r)));
+    v := q;
+    decr i
+  done;
+  b
+
+let arb_bytes_case =
+  QCheck.make
+    ~print:(fun (s, size) ->
+      Printf.sprintf "%S size=%s" s
+        (match size with Some n -> string_of_int n | None -> "-"))
+    QCheck.Gen.(
+      pair
+        (frequency
+           [
+             (1, return "");
+             (1, map (fun n -> String.make n '\000') (int_range 1 4));
+             (6, string_size ~gen:char (int_range 1 80));
+           ])
+        (opt (int_range 0 90)))
+
+let prop_to_bytes_be_differential =
+  QCheck.Test.make ~name:"bignum: to_bytes_be equals byte-at-a-time division"
+    ~count:(scale 500) arb_bytes_case (fun (s, size) ->
+      let a = Crypto.Bignum.of_bytes_be (Bytes.of_string s) in
+      let run f =
+        match f () with b -> Ok b | exception Invalid_argument m -> Error m
+      in
+      let got = run (fun () -> Crypto.Bignum.to_bytes_be ?size a)
+      and want = run (fun () -> reference_to_bytes_be ?size a) in
+      got = want
+      && Crypto.Bignum.equal a
+           (Crypto.Bignum.of_bytes_be (Crypto.Bignum.to_bytes_be a)))
+
 (* ------------------------------------------------------------------ *)
 (* Robustness: parsers fail only with their documented exceptions *)
 
@@ -1583,7 +1804,12 @@ let () =
           ] );
       ( "crypto",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_cert_roundtrip; prop_wire_roundtrip ] );
+          [
+            prop_cert_roundtrip;
+            prop_cert_memo_differential;
+            prop_to_bytes_be_differential;
+            prop_wire_roundtrip;
+          ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
           [

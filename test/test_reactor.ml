@@ -149,12 +149,12 @@ let test_reactor_marketplace_concurrent () =
    wake-ups and journal compaction used to scale with the burst. *)
 let market_config = { Session.default_config with Session.max_hops = 64 }
 
-let run_burst ?(config = market_config) ~seed ~providers ~learners () =
-  let mp =
-    Scenario.marketplace
-      ~config:{ config with Session.guard = Guard.defaults }
-      ~seed:(Int64.of_int seed) ~providers ~learners ~courses_per_provider:4 ()
-  in
+let burst_world ~seed ~providers ~learners =
+  Scenario.marketplace
+    ~config:{ market_config with Session.guard = Guard.defaults }
+    ~seed:(Int64.of_int seed) ~providers ~learners ~courses_per_provider:4 ()
+
+let run_burst_on mp =
   let reactor =
     Reactor.create
       ~config:
@@ -172,6 +172,9 @@ let run_burst ?(config = market_config) ~seed ~providers ~learners () =
   Alcotest.(check int) "burst leaves nothing parked" 0
     (Reactor.parked_count reactor);
   List.map (fun (pair, id) -> (pair, Reactor.outcome reactor id)) requests
+
+let run_burst ~seed ~providers ~learners () =
+  run_burst_on (burst_world ~seed ~providers ~learners)
 
 let outcome_summary = function
   | Negotiation.Granted instances ->
@@ -229,6 +232,52 @@ let test_reactor_burst_matches_sync () =
             (outcome_summary outcome))
         mp.Scenario.mp_goals burst)
     [ 1; 7; 11 ]
+
+(* The keystore's signature memo: the guard and the learning step both
+   check every certificate a burst relays, thousands of checks over the
+   world's few certificates, yet RSA runs at most once per distinct
+   (payload, signer) pair.  The outcomes and rejection counts are those of
+   the unmemoised check, pinned. *)
+let test_reactor_burst_verifies_once () =
+  let mp = burst_world ~seed:13 ~providers:8 ~learners:64 in
+  let pairs = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun _ (peer : Peer.t) ->
+      Hashtbl.iter
+        (fun _ (c : Peertrust_crypto.Cert.t) ->
+          List.iter
+            (fun signer ->
+              let payload = Peertrust_crypto.Cert.payload c in
+              Hashtbl.replace pairs (payload, signer) ())
+            c.rule.Rule.signer)
+        peer.Peer.certs)
+    mp.Scenario.mp_session.Session.peers;
+  let counters =
+    List.map Pobs.Obs.counter
+      [ "crypto.rsa_verifies"; "guard.bad_cert"; "engine.certs_rejected" ]
+  in
+  let before = List.map Pobs.Metric.value counters in
+  let outcomes = run_burst_on mp in
+  match List.map2 (fun c v0 -> Pobs.Metric.value c - v0) counters before with
+  | [ rsa_verifies; bad_cert; certs_rejected ] ->
+      Alcotest.(check int) "distinct (payload, signer) pairs" 72
+        (Hashtbl.length pairs);
+      if rsa_verifies > Hashtbl.length pairs then
+        Alcotest.failf "%d RSA verifies for %d distinct pairs" rsa_verifies
+          (Hashtbl.length pairs);
+      Alcotest.(check int) "guard.bad_cert" 0 bad_cert;
+      Alcotest.(check int) "engine.certs_rejected" 0 certs_rejected;
+      Alcotest.(check int) "granted" 512
+        (List.length
+           (List.filter (fun (_, o) -> granted o) outcomes));
+      Alcotest.(check string) "outcomes" "5988615ea8db19cd4cb397141f2f9b5b"
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n"
+                 (List.map
+                    (fun ((l, p), o) -> l ^ " " ^ p ^ " " ^ outcome_summary o)
+                    outcomes))))
+  | _ -> assert false
 
 let test_reactor_disclosure_message () =
   (* A pushed disclosure wakes parked goals. *)
@@ -1365,6 +1414,8 @@ let () =
           tc "marketplace over one queue" test_reactor_marketplace_concurrent;
           tc "burst work independent of burst size" test_reactor_burst_scaling;
           tc "burst agrees with sync engine" test_reactor_burst_matches_sync;
+          tc "burst verifies each signature once"
+            test_reactor_burst_verifies_once;
           tc "missing credential denied" test_reactor_disclosure_message;
         ] );
       ( "failure",
