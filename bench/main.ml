@@ -544,8 +544,8 @@ let e10 () =
                   ~requester:w2.Scenario.cw_requester
                   ~target:w2.Scenario.cw_owner w2.Scenario.cw_goal
               with
-              | [] -> Negotiation.Denied "no"
-              | i -> Negotiation.Granted i)
+              | [] -> Error Net.Denial.Not_derivable
+              | i -> Ok i)
         in
         [
           string_of_int depth;
@@ -787,13 +787,10 @@ let chaos () =
     in
     let steps = Reactor.run ~max_steps reactor in
     worst_steps := max !worst_steps steps;
-    (match Reactor.outcome reactor id with
-    | Negotiation.Granted _ -> bump "granted"
-    | Negotiation.Denied reason ->
-        bump
-          ("denied: "
-          ^ Negotiation.denial_class_to_string
-              (Negotiation.classify_denial reason)))
+    (match Reactor.verdict reactor id with
+    | Ok _ -> bump "granted"
+    | Error d ->
+        bump ("denied: " ^ Net.Denial.Class.to_string (Net.Denial.class_of d)))
   done;
   let rows =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []
@@ -1033,15 +1030,18 @@ let crash_bench () =
                 !envelopes
                 + Net.Stats.messages
                     (Net.Network.stats session.Session.network);
-              (match Reactor.outcome reactor id with
-              | Negotiation.Granted _ -> incr granted
-              | Negotiation.Denied reason -> (
-                  match Negotiation.classify_denial reason with
-                  | Negotiation.Crashed -> incr crashed_denials
-                  | Negotiation.Unreachable | Negotiation.Timeout ->
+              (match Reactor.verdict reactor id with
+              | Ok _ -> incr granted
+              | Error d -> (
+                  match Net.Denial.class_of d with
+                  | Net.Denial.Class.Crashed -> incr crashed_denials
+                  | Net.Denial.Class.Unreachable | Net.Denial.Class.Timeout ->
                       incr transport_denials
                   | _ -> ()));
-              if late && Reactor.outcome reactor id = Negotiation.Denied "peer crashed"
+              if
+                late
+                && Reactor.verdict reactor id
+                   = Error Net.Denial.Requester_crashed
               then fail "%s/%s run %d: post-settlement crash undid the outcome"
                      mode victim i;
               if journal <> Reactor.Journal_off && restarts then begin
@@ -1090,7 +1090,7 @@ let crash_bench () =
       [ ("ckpt", Reactor.Journal_memory); ("off", Reactor.Journal_off) ]
   in
   (* deadline block: a never-restarting crash plus a request deadline
-     must settle as a policy-class denial and withdraw the in-flight
+     must settle as a deadline denial and withdraw the in-flight
      sub-queries with Cancels, long before the retry budget drains *)
   let deadline_runs = if smoke then 2 else 4 in
   for i = 1 to deadline_runs do
@@ -1126,11 +1126,12 @@ let crash_bench () =
     in
     let steps = Reactor.run ~max_steps reactor in
     if steps >= max_steps then fail "deadline run %d hit the step budget" i;
-    match Reactor.outcome reactor id with
-    | Negotiation.Denied "deadline expired" -> ()
-    | Negotiation.Denied other ->
-        fail "deadline run %d denied as %S, not the deadline" i other
-    | Negotiation.Granted _ ->
+    match Reactor.verdict reactor id with
+    | Error Net.Denial.Deadline_expired -> ()
+    | Error other ->
+        fail "deadline run %d denied as %S, not the deadline" i
+          (Net.Denial.to_string other)
+    | Ok _ ->
         fail "deadline run %d granted against a crashed responder" i
   done;
   print_table

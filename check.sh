@@ -42,6 +42,21 @@ if grep -rn 'Cert\.verify' lib/core | grep -v '^lib/core/session\.mli\{0,1\}:'; 
   exit 1
 fi
 
+# One home for the denial vocabulary: reasons are Peertrust_net.Denial
+# constructors, classified by Denial.class_of.  No string classifier or
+# prefix test on a reason, and no Deny payload or Denied outcome built
+# from a string literal (core/policy.ml's per-credential release decision
+# is not a denial: it never reaches the wire or an outcome).
+if grep -rnE 'classify_denial|(has_prefix|starts_with|String\.sub)[^;]*reason' lib; then
+  echo "check: a denial reason is parsed as a string in lib/" >&2
+  exit 1
+fi
+if grep -rnE 'reason = "|Deny \(?"|Denied \(?"' lib --include='*.ml' \
+  | grep -v '^lib/core/policy\.ml:'; then
+  echo "check: a Deny or Denied is built from a string literal in lib/" >&2
+  exit 1
+fi
+
 # The committed BENCH_*.json baselines must come out of the run untouched:
 # every artifact below goes to the scratch dir.  Checked at the end.
 bench_sums=$(cksum BENCH_*.json)

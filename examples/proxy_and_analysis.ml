@@ -34,7 +34,7 @@ let () =
   in
   Format.printf "phone requests a paper: %a@." Negotiation.pp_report r;
   Format.printf "queries forwarded by the phone to the laptop: %d@.@."
-    (Proxy.forwarded_count session ~device:"phone");
+    (Proxy.forwarded_count session ~device:"phone" ~proxy:"laptop");
   List.iter
     (fun e ->
       Format.printf "  [%d] %-8s -> %-8s %s@." e.Peertrust_net.Network.time

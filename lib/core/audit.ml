@@ -1,7 +1,7 @@
 open Peertrust_dlp
 module Net = Peertrust_net
 
-type decision = Grant | Deny of string
+type decision = Grant | Deny of Net.Denial.t
 
 type entry = {
   at : int;
@@ -60,7 +60,7 @@ let pp_entry fmt e =
     (match e.decision with
     | Grant ->
         Printf.sprintf "granted (%d credential(s))" (List.length e.credentials)
-    | Deny reason -> Printf.sprintf "denied (%s)" reason)
+    | Deny reason -> Printf.sprintf "denied (%s)" (Net.Denial.to_string reason))
 
 let pp fmt t =
   Format.pp_print_list

@@ -9,7 +9,7 @@
 
 open Peertrust_dlp
 
-type decision = Grant | Deny of string
+type decision = Grant | Deny of Peertrust_net.Denial.t
 
 type entry = {
   at : int;  (** simulated-clock time *)

@@ -207,7 +207,7 @@ let releasable_proof_certs ?allow_remote ?remote ~meter session peer
 
 let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
     goal =
-  if not (Peer.enter peer ~requester goal) then Error "cycle"
+  if not (Peer.enter peer ~requester goal) then Error Net.Denial.Reentrant
   else
     Fun.protect
       ~finally:(fun () -> Peer.leave peer ~requester goal)
@@ -373,8 +373,8 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
         match dedup_instances (List.rev !results) with
         | [] ->
             Error
-              (if !saw_release_rule then "release policy not satisfied"
-               else "no release policy covers goal")
+              (if !saw_release_rule then Net.Denial.Release_unsatisfied
+               else Net.Denial.No_release_policy)
         | instances ->
             (* Relay: certificates acquired from other peers while
                computing this answer travel onwards with it, provided their
@@ -422,7 +422,7 @@ let answer_stats ?allow_remote ?remote ?(max_steps = max_int) session peer
             (Ojson.Str
                (match r with
                | Ok _ -> "granted"
-               | Error reason -> "denied: " ^ reason));
+               | Error reason -> "denied: " ^ Net.Denial.to_string reason));
           r)
     else run ()
   in
@@ -448,7 +448,8 @@ let handler ?allow_remote session peer : Net.Network.handler =
       | Error reason ->
           Log.debug (fun m ->
               m "%s denies %s for %s: %s" peer.Peer.name
-                (Literal.to_string goal) from reason);
+                (Literal.to_string goal) from
+                (Net.Denial.to_string reason));
           Net.Message.Deny { goal; reason })
   | Net.Message.Disclosure { certs; rules } ->
       learn ~from_:from session peer certs;

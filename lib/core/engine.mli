@@ -52,10 +52,10 @@ val answer :
   Peer.t ->
   requester:string ->
   Literal.t ->
-  (instance list * Peertrust_crypto.Cert.t list, string) result
+  (instance list * Peertrust_crypto.Cert.t list, Peertrust_net.Denial.t) result
 (** Server side (also used directly by the eager strategy with
     [~allow_remote:false]): compute the releasable answer to a query.
-    [Error reason] when nothing is releasable.  [remote] overrides the
+    [Error] names why nothing is releasable.  [remote] overrides the
     network-backed remote dispatch — the queued engine ({!Reactor}) passes
     a collector that records blocked sub-goals instead of recursing. *)
 
@@ -67,7 +67,7 @@ val answer_stats :
   Peer.t ->
   requester:string ->
   Literal.t ->
-  (instance list * Peertrust_crypto.Cert.t list, string) result * int
+  (instance list * Peertrust_crypto.Cert.t list, Peertrust_net.Denial.t) result * int
 (** Like {!answer}, also returning the resolution steps the call spent:
     the sum over every inner solve, each capped at [max_steps] (default
     unbounded) on top of the peer's own {!Sld.options}.  The reactor

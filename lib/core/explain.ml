@@ -8,30 +8,28 @@ let outcome_sentence = function
            (List.map (fun (l, _) -> Literal.to_string l) instances))
   | Negotiation.Denied reason -> Printf.sprintf "Access denied (%s)." reason
 
-(* Classify a transcript entry into a prose step. *)
+(* A transcript entry as a prose step, by the kind of message it logs. *)
 let step_sentence (e : Net.Network.entry) =
   let s = e.Net.Network.summary in
-  let verb =
-    if String.length s >= 5 && String.sub s 0 5 = "query" then
-      Printf.sprintf "%s asks %s for%s" e.Net.Network.from e.Net.Network.target
-        (String.sub s 5 (String.length s - 5))
-    else if String.length s >= 6 && String.sub s 0 6 = "answer" then
-      let detail = String.sub s 6 (String.length s - 6) in
-      if e.Net.Network.certs_ > 0 then
-        Printf.sprintf "%s answers %s, disclosing %d credential(s):%s"
-          e.Net.Network.from e.Net.Network.target e.Net.Network.certs_ detail
-      else
-        Printf.sprintf "%s answers %s:%s" e.Net.Network.from
-          e.Net.Network.target detail
-    else if String.length s >= 4 && String.sub s 0 4 = "deny" then
-      Printf.sprintf "%s refuses %s:%s" e.Net.Network.from e.Net.Network.target
-        (String.sub s 4 (String.length s - 4))
-    else if String.length s >= 8 && String.sub s 0 8 = "disclose" then
-      Printf.sprintf "%s pushes credentials to %s (%s)" e.Net.Network.from
-        e.Net.Network.target s
-    else Printf.sprintf "%s -> %s: %s" e.Net.Network.from e.Net.Network.target s
+  let from = e.Net.Network.from and target = e.Net.Network.target in
+  (* the summary past the message's own leading word *)
+  let rest w =
+    String.sub s (String.length w) (String.length s - String.length w)
   in
-  verb
+  match e.Net.Network.kind with
+  | Net.Stats.Query ->
+      Printf.sprintf "%s asks %s for%s" from target (rest "query")
+  | Net.Stats.Answer when e.Net.Network.certs_ > 0 ->
+      Printf.sprintf "%s answers %s, disclosing %d credential(s):%s" from target
+        e.Net.Network.certs_ (rest "answer")
+  | Net.Stats.Answer ->
+      Printf.sprintf "%s answers %s:%s" from target (rest "answer")
+  | Net.Stats.Deny ->
+      Printf.sprintf "%s refuses %s:%s" from target (rest "deny")
+  | Net.Stats.Disclosure ->
+      Printf.sprintf "%s pushes credentials to %s (%s)" from target s
+  | Net.Stats.Tabling | Net.Stats.Other ->
+      Printf.sprintf "%s -> %s: %s" from target s
 
 let narrative (r : Negotiation.report) =
   let buf = Buffer.create 512 in
@@ -81,11 +79,7 @@ let sequence_diagram (r : Negotiation.report) =
   List.iter
     (fun (e : Net.Network.entry) ->
       let arrow =
-        if
-          String.length e.Net.Network.summary >= 4
-          && String.sub e.Net.Network.summary 0 4 = "deny"
-        then "--x"
-        else "->>"
+        if e.Net.Network.kind = Net.Stats.Deny then "--x" else "->>"
       in
       Buffer.add_string buf
         (Printf.sprintf "  %s%s%s: %s\n"

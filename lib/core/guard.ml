@@ -32,7 +32,7 @@ let defaults =
 
 let permissive = { defaults with enabled = false }
 
-type violation =
+type violation = Net.Denial.violation =
   | Malformed of string
   | Oversized of int
   | Unsolicited of string
@@ -51,19 +51,6 @@ let violation_to_string = function
   | Quota_exhausted -> "quota exhausted"
   | Bomb d -> Printf.sprintf "delegation bomb: depth %d" d
   | Quarantined -> "quarantined"
-
-(* The stable vocabulary {!Negotiation.classify_denial} matches on; the
-   guarded peer owes a rejected query a reply from this list so the
-   requester's negotiation terminates with a structured outcome. *)
-let denial_reason = function
-  | Quarantined -> "quarantined"
-  | Flooding -> "rate-limited"
-  | Quota_exhausted -> "quota"
-  | Malformed _ -> "malformed"
-  | Oversized _ -> "oversized"
-  | Bad_cert _ -> "bad certificate"
-  | Unsolicited _ -> "unsolicited"
-  | Bomb _ -> "delegation bomb"
 
 type verdict = Admit | Stale of string | Reject of violation
 

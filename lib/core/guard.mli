@@ -48,22 +48,12 @@ val defaults : config
     that honest scenario traffic never trips it, tight enough that every
     flooding/malformed adversary lands in quarantine. *)
 
-type violation =
-  | Malformed of string  (** unparseable or ill-shaped payload *)
-  | Oversized of int  (** payload byte size above [max_bytes] *)
-  | Unsolicited of string  (** answer/deny without an outstanding query *)
-  | Bad_cert of string  (** certificate failing signature verification *)
-  | Flooding  (** query rate above [rate] per [rate_window] *)
-  | Quota_exhausted  (** requester's resolution work quota spent *)
-  | Bomb of int  (** query goal deeper than [max_goal_depth] *)
-  | Quarantined  (** requester's circuit breaker is open *)
+type violation = Peertrust_net.Denial.violation
+(** Why a payload is rejected: part of the denial vocabulary, since a
+    rejected query is answered with {!Peertrust_net.Denial.Rejected}. *)
 
 val violation_to_string : violation -> string
-
-val denial_reason : violation -> string
-(** Stable reason vocabulary for the [Deny] sent back for a rejected
-    query — ["quarantined"], ["rate-limited"], ["quota"], ... — the
-    strings {!Negotiation.classify_denial} recognises. *)
+(** The violation with its detail, for trace events. *)
 
 type verdict =
   | Admit

@@ -6,71 +6,15 @@ module Otracer = Peertrust_obs.Tracer
 module Ojson = Peertrust_obs.Json
 
 type outcome = Granted of Engine.instance list | Denied of string
+type verdict = (Engine.instance list, Net.Denial.t) result
 
-type denial_class =
-  | Policy
-  | Timeout
-  | Unreachable
-  | Budget
-  | Cycle
-  | Quiescent
-  | Quarantined
-  | Rate_limited
-  | Quota
-  | Unsupported
-  | Crashed
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-(* The resilience machinery uses a small stable vocabulary of reasons;
-   anything else is an ordinary policy denial. *)
-let classify_denial reason =
-  if has_prefix ~prefix:"timeout" reason then Timeout
-  else if
-    has_prefix ~prefix:"unreachable" reason
-    || has_prefix ~prefix:"peer unreachable" reason
-  then Unreachable
-  else if String.equal reason "message budget exhausted" then Budget
-  else if String.equal reason "negotiation cycle" then Cycle
-  else if String.equal reason "negotiation quiescent" then Quiescent
-  else if has_prefix ~prefix:"quarantined" reason then Quarantined
-  else if has_prefix ~prefix:"rate-limited" reason then Rate_limited
-  else if has_prefix ~prefix:"quota" reason then Quota
-  else if has_prefix ~prefix:"unsupported" reason then Unsupported
-  else if
-    has_prefix ~prefix:"crashed" reason
-    || has_prefix ~prefix:"peer crashed" reason
-  then Crashed
-  else Policy
-
-let denial_class_to_string = function
-  | Policy -> "policy"
-  | Timeout -> "timeout"
-  | Unreachable -> "unreachable"
-  | Budget -> "budget"
-  | Cycle -> "cycle"
-  | Quiescent -> "quiescent"
-  | Quarantined -> "quarantined"
-  | Rate_limited -> "rate-limited"
-  | Quota -> "quota"
-  | Unsupported -> "unsupported"
-  | Crashed -> "crashed"
-
-(* Denials produced by transport failures rather than policy decisions. *)
-let transport_denial reason =
-  match classify_denial reason with
-  | Timeout | Unreachable | Budget -> true
-  | Policy | Cycle | Quiescent | Quarantined | Rate_limited | Quota
-  | Unsupported | Crashed ->
-      (* A crash denial is a fate of the counterparty, not of the
-         links: retransmitting harder cannot help, so it is not a
-         transport denial. *)
-      false
+let outcome_of = function
+  | Ok instances -> Granted instances
+  | Error d -> Denied (Net.Denial.to_string d)
 
 type report = {
   outcome : outcome;
+  denial : Net.Denial.t option;
   messages : int;
   bytes : int;
   disclosures : int;
@@ -96,14 +40,15 @@ let measure_inner session run =
   let bytes0 = Net.Stats.bytes stats in
   let t0 = Net.Clock.now clock in
   let log0 = Net.Network.logged net in
-  let outcome =
+  let verdict =
     try run () with
-    | Net.Network.Budget_exhausted -> Denied "message budget exhausted"
-    | Net.Network.Unreachable peer -> Denied ("peer unreachable: " ^ peer)
+    | Net.Network.Budget_exhausted -> Error Net.Denial.Budget_exhausted
+    | Net.Network.Unreachable peer -> Error (Net.Denial.Peer_unreachable peer)
   in
   let transcript = Net.Network.transcript_since net log0 in
   {
-    outcome;
+    outcome = outcome_of verdict;
+    denial = (match verdict with Ok _ -> None | Error d -> Some d);
     messages = Net.Stats.messages stats - msgs0;
     bytes = Net.Stats.bytes stats - bytes0;
     disclosures =
@@ -123,11 +68,12 @@ let measure session run =
           let r = measure_inner session run in
           Otracer.set_attr tracer "outcome"
             (Ojson.Str (if succeeded r then "granted" else "denied"));
-          (match r.outcome with
-          | Denied reason ->
+          Option.iter
+            (fun d ->
               Otracer.set_attr tracer "denial.class"
-                (Ojson.Str (denial_class_to_string (classify_denial reason)))
-          | Granted _ -> ());
+                (Ojson.Str
+                   (Net.Denial.Class.to_string (Net.Denial.class_of d))))
+            r.denial;
           Otracer.set_attr tracer "messages" (Ojson.Int r.messages);
           Otracer.set_attr tracer "disclosures" (Ojson.Int r.disclosures);
           r)
@@ -144,8 +90,8 @@ let measure session run =
 let request session ~requester ~target goal =
   measure session (fun () ->
       match Engine.query session ~requester ~target goal with
-      | [] -> Denied "request denied or not derivable"
-      | instances -> Granted instances)
+      | [] -> Error Net.Denial.Not_derivable
+      | instances -> Ok instances)
 
 let request_str session ~requester ~target goal_src =
   request session ~requester ~target (Parser.parse_literal goal_src)

@@ -12,40 +12,16 @@ type outcome =
   | Granted of Engine.instance list
       (** access granted; the provable instances of the goal *)
   | Denied of string
+      (** the denial as {!Peertrust_net.Denial.to_string} prints it *)
 
-type denial_class =
-  | Policy  (** the target's policies do not release the resource *)
-  | Timeout  (** a sub-query exhausted its retransmission budget *)
-  | Unreachable  (** a peer was down or unregistered *)
-  | Budget  (** the session's message budget ran out *)
-  | Cycle  (** deadlocked release policies (negotiation cycle) *)
-  | Quiescent  (** the queue drained without resolving the request *)
-  | Quarantined  (** rejected by a guard: requester's breaker is open *)
-  | Rate_limited  (** rejected by a guard: query rate above the limit *)
-  | Quota  (** rejected by a guard: resolution work quota spent *)
-  | Unsupported
-      (** the goal hit a feature outside the evaluating engine's
-          fragment (e.g. negation-as-failure under distributed
-          tabling) *)
-  | Crashed
-      (** the counterparty crash-stopped with no restart in sight
-          ([crashed: <peer>]), or the requester itself restarted
-          without a journal ([peer crashed]) *)
+type verdict = (Engine.instance list, Peertrust_net.Denial.t) result
+(** What a negotiation procedure decides: the typed form of {!outcome}. *)
 
-val classify_denial : string -> denial_class
-(** Classify a [Denied] reason string.  The queued engine's resilience
-    machinery emits reasons from a stable vocabulary ([timeout: <peer>],
-    [unreachable: <peer>], [message budget exhausted], ...); everything
-    else is a {!Policy} denial. *)
-
-val denial_class_to_string : denial_class -> string
-
-val transport_denial : string -> bool
-(** [true] for denials produced by transport failures ({!Timeout},
-    {!Unreachable}, {!Budget}) rather than policy decisions. *)
+val outcome_of : verdict -> outcome
 
 type report = {
   outcome : outcome;
+  denial : Peertrust_net.Denial.t option;  (** why [outcome] is [Denied] *)
   messages : int;  (** messages exchanged during this negotiation *)
   bytes : int;
   disclosures : int;  (** certificates transferred *)
@@ -63,7 +39,7 @@ val request_str :
   Session.t -> requester:string -> target:string -> string -> report
 (** Convenience: parse the goal from text.  @raise Parser.Error. *)
 
-val measure : Session.t -> (unit -> outcome) -> report
+val measure : Session.t -> (unit -> verdict) -> report
 (** Wrap an arbitrary negotiation procedure (used by {!Strategy}): snapshot
     network statistics around the call and collect the transcript delta.
     A message-budget exhaustion or an unreachable top-level target turns

@@ -1,19 +1,12 @@
 module Net = Peertrust_net
 
-(* Forward counters, keyed by device name (reset when a device is
-   attached). *)
-let counters : (string, int ref) Hashtbl.t = Hashtbl.create 8
-
-let forwarded_count _session ~device =
-  match Hashtbl.find_opt counters device with Some r -> !r | None -> 0
+let forwarded_count session ~device ~proxy =
+  Net.Stats.between (Net.Network.stats session.Session.network) device proxy
 
 let attach_device session ~device ~proxy =
   let proxy_peer = Session.peer session proxy in
   let device_peer = Session.add_peer session device in
-  let counter = ref 0 in
-  Hashtbl.replace counters device counter;
   let forward payload =
-    incr counter;
     Net.Network.notify session.Session.network ~from:device ~target:proxy
       payload
   in
@@ -25,7 +18,7 @@ let attach_device session ~device ~proxy =
     | Net.Message.Query { goal } -> (
         match forward payload with
         | exception Net.Network.Unreachable _ ->
-            Net.Message.Deny { goal; reason = "proxy unreachable" }
+            Net.Message.Deny { goal; reason = Net.Denial.Proxy_unreachable }
         | () ->
             let response = Engine.handler session proxy_peer ~from payload in
             Net.Network.notify session.Session.network ~from:proxy

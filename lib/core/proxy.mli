@@ -17,5 +17,6 @@ val attach_device :
     original requester.  The proxy peer must already exist.  Returns the
     device peer. *)
 
-val forwarded_count : Session.t -> device:string -> int
-(** How many queries the device has forwarded so far. *)
+val forwarded_count : Session.t -> device:string -> proxy:string -> int
+(** How many messages [device] has forwarded to [proxy] on this
+    session's network. *)

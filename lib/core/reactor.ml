@@ -90,7 +90,7 @@ and sub = {
 and sub_state =
   | Pending
   | Answered of Engine.instance list
-  | Denied of string  (* reason of the last Deny *)
+  | Denied of Net.Denial.t  (* reason of the last Deny *)
 
 and wire =
   | Idle  (* not outstanding on the wire *)
@@ -180,7 +180,7 @@ type t = {
      until it restarts, in suspension order *)
   mutable stamp : int;  (* orders parks, wakes and quiescence breaks *)
   mutable last_break : int;  (* stamp of the last quiescence break *)
-  results : (int, Negotiation.outcome) Hashtbl.t;
+  results : (int, Negotiation.verdict) Hashtbl.t;
   req_owner : (int, string) Hashtbl.t;  (* request id -> requester *)
   mutable next_request : int;
   mutable budget_hit : bool;
@@ -218,14 +218,6 @@ let peer_of t name =
 let create ?(config = default_config) session =
   if config.retry_limit < 0 then
     invalid_arg "Reactor.create: retry_limit must be >= 0";
-  (* Detach any synchronous handlers: reactor sessions route everything
-     through the queue.  A handler that acks keeps Network.send usable for
-     unrelated traffic without invoking the engine. *)
-  Hashtbl.iter
-    (fun name _ ->
-      Net.Network.register session.Session.network name (fun ~from:_ _ ->
-          Net.Message.Ack))
-    session.Session.peers;
   let events =
     Net.Faults.crashes (Net.Network.faults session.Session.network)
     |> List.concat_map (fun (peer, at_tick, restart_tick) ->
@@ -363,7 +355,7 @@ let post ?attempt ?trace t ~from ~target payload =
       match payload with
       | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
           enqueue_synthetic ?trace t ~from:target ~target:from
-            (Net.Message.Deny { goal; reason = "unreachable" })
+            (Net.Message.Deny { goal; reason = Net.Denial.Unreachable None })
       | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Disclosure _
       | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tanswer _
       | Net.Message.Tprobe _ | Net.Message.Tstat _ | Net.Message.Tcomplete _
@@ -564,9 +556,9 @@ let maybe_compact st =
             (Printf.sprintf "reactor.compact %s journal -> %d entries" st.name
                live))
 
-let settle_request t id outcome =
+let settle_request t id verdict =
   if not (Hashtbl.mem t.results id) then begin
-    Hashtbl.replace t.results id outcome;
+    Hashtbl.replace t.results id verdict;
     match Hashtbl.find_opt t.req_owner id with
     | None -> ()
     | Some owner ->
@@ -574,23 +566,6 @@ let settle_request t id outcome =
         jappend st (Persist.Journal.Done { id });
         maybe_compact st
   end
-
-(* A transport-level denial (injected by the resilience machinery, not
-   by the target's policies) or a guard rejection surfaces as a
-   structured outcome reason. *)
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let denial_reason ~target = function
-  | ( "timeout" | "unreachable" | "quarantined" | "rate-limited" | "quota"
-    | "crashed" ) as structured ->
-      Printf.sprintf "%s: %s" structured target
-  | reason when has_prefix ~prefix:"unsupported" reason ->
-      (* A tabled evaluation hit a feature outside its fragment (NAF);
-         keep the reason so {!Negotiation.classify_denial} sees it. *)
-      reason
-  | _ -> "denied by target"
 
 (* ------------------------------------------------------------------ *)
 (* Parked goals.  Each one sits in its peer's table and in the waiter
@@ -655,11 +630,11 @@ let try_settle t st p =
           match sq.sq_state with
           | Pending -> false
           | Answered instances ->
-              settle_request t id (Negotiation.Granted instances);
+              settle_request t id (Ok instances);
               true
           | Denied reason ->
               settle_request t id
-                (Negotiation.Denied (denial_reason ~target:sq.sq_target reason));
+                (Error (Net.Denial.reported_by ~target:sq.sq_target reason));
               true)
       | _ -> false)
   | None -> (
@@ -1000,14 +975,17 @@ let fire_timer t (_, asker, target, key) =
       Hashtbl.replace t.awaiting target (prev @ [ (asker, key) ])
     end
     else begin
-      let reason = if crashed then "crashed" else "timeout" in
+      let reason =
+        if crashed then Net.Denial.Crashed None else Net.Denial.Timeout None
+      in
+      let word = Net.Denial.to_string reason in
       Log.debug (fun m ->
-          m "%s %s -> %s: %s" reason asker target
+          m "%s %s -> %s: %s" word asker target
             (Literal.to_string tm.tm_goal));
       in_span "reactor.timeout" (fun () ->
           Otracer.event (Obs.tracer ())
             (Printf.sprintf "reactor.%s %s -> %s: %s (after %d retries)"
-               reason asker target
+               word asker target
                (Literal.to_string tm.tm_goal)
                tm.tm_attempt);
           enqueue_synthetic t ~from:target ~target:asker
@@ -1028,8 +1006,7 @@ let solicited_by t ~from ~target goal =
    limit must terminate with a structured outcome rather than hang.
    One Deny per rejected query (1:1, no amplification); rejected
    non-query payloads are dropped silently. *)
-let reject_payload t ~from ~target violation payload =
-  let reason = Guard.denial_reason violation in
+let reject_payload t ~from ~target reason payload =
   match payload with
   | Net.Message.Query { goal } | Net.Message.Tquery { goal; _ } ->
       post t ~from:target ~target:from (Net.Message.Deny { goal; reason })
@@ -1141,12 +1118,11 @@ let deliver_envelope t env =
                 Otracer.event tracer
                   (Printf.sprintf "guard.stale %s -> %s: %s" from target why)
             | Guard.Reject violation ->
+                let reason = Net.Denial.Rejected (violation, None) in
                 Otracer.set_attr tracer "denial.class"
                   (Ojson.Str
-                     (Negotiation.denial_class_to_string
-                        (Negotiation.classify_denial
-                           (Guard.denial_reason violation))));
-                reject_payload t ~from ~target violation payload
+                     (Net.Denial.Class.to_string (Net.Denial.class_of reason)));
+                reject_payload t ~from ~target reason payload
     in
     (* Join the sender's trace: reconstruct the wire transit as a
        retrospective span (real envelopes only — synthetic ones never
@@ -1240,7 +1216,7 @@ let crash_peer t name =
         ->
           (* the journal's Goal entry re-launches it at restart *)
           ()
-      | Some id -> settle_request t id (Negotiation.Denied "peer crashed")
+      | Some id -> settle_request t id (Error Net.Denial.Requester_crashed)
       | None -> ())
     mine;
   match st.snapshot with
@@ -1357,7 +1333,7 @@ let expire_deadline t id =
         Metric.incr m_cancels;
         (* A withdrawn sub-query reads as denied by its target. *)
         (match sq.sq_state with
-        | Pending -> sq.sq_state <- Denied "withdrawn"
+        | Pending -> sq.sq_state <- Denied Net.Denial.Withdrawn
         | Answered _ | Denied _ -> ());
         disarm t st sq;
         post ?trace:tm.tm_trace t ~from:requester ~target:sq.sq_target
@@ -1369,7 +1345,7 @@ let expire_deadline t id =
     List.iter
       (fun p -> if p.pk_request = Some id then unpark st p)
       (goals_of st.parked);
-    settle_request t id (Negotiation.Denied "deadline expired")
+    settle_request t id (Error Net.Denial.Deadline_expired)
   end
 
 let process_event t = function
@@ -1428,10 +1404,10 @@ let break_quiescence t =
   | Some p, _ ->
       unpark (peer_of t p.pk_peer) p;
       post t ~from:p.pk_peer ~target:p.pk_requester
-        (Net.Message.Deny { goal = p.pk_goal; reason = "negotiation cycle" });
+        (Net.Message.Deny { goal = p.pk_goal; reason = Net.Denial.Cycle });
       true
   | None, Some ({ pk_request = Some id; _ } as p) ->
-      settle_request t id (Negotiation.Denied "negotiation quiescent");
+      settle_request t id (Error Net.Denial.Quiescent);
       unpark (peer_of t p.pk_peer) p;
       true
   | None, (Some _ | None) -> false
@@ -1467,7 +1443,7 @@ let run_inner ?(max_steps = 100_000) t =
            Option.map (fun id -> (recency t p, id)) p.pk_request)
     |> List.sort (fun (a, _) (b, _) -> compare b a)
     |> List.iter (fun (_, id) ->
-           settle_request t id (Negotiation.Denied "message budget exhausted"));
+           settle_request t id (Error Net.Denial.Budget_exhausted));
   !steps
 
 let parked_count t =
@@ -1498,10 +1474,10 @@ let run ?max_steps t =
 
 let result t id = Hashtbl.find_opt t.results id
 
-let outcome t id =
-  match result t id with
-  | Some o -> o
-  | None -> Negotiation.Denied "negotiation quiescent"
+let verdict t id =
+  Option.value ~default:(Error Net.Denial.Quiescent) (result t id)
+
+let outcome t id = Negotiation.outcome_of (verdict t id)
 
 let pending_timers t = Due.cardinal t.timers
 
@@ -1513,13 +1489,10 @@ let dedup_evictions t =
     (fun _ st n -> n + Option.fold ~none:0 ~some:Net.Dedup.evictions st.ring)
     t.peers 0
 
-(* Register an adversary: give it a network identity (an inert handler,
-   so posts to it succeed) and queue its opening burst against
-   [targets] (default: every honest session peer). *)
+(* Register an adversary and queue its opening burst against [targets]
+   (default: every honest session peer). *)
 let add_adversary ?targets t adv =
   let name = Net.Adversary.name adv in
-  Net.Network.register t.session.Session.network name (fun ~from:_ _ ->
-      Net.Message.Ack);
   Hashtbl.replace t.adversaries name adv;
   let targets =
     match targets with
@@ -1544,4 +1517,4 @@ let negotiate ?config ?max_steps ?(adversaries = []) session ~requester
       List.iter (add_adversary t) adversaries;
       let id = submit t ~requester ~target goal in
       ignore (run ?max_steps t);
-      outcome t id)
+      verdict t id)

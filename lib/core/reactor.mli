@@ -34,10 +34,10 @@
     simulated delivery time, and every outstanding sub-query carries a
     retransmission timer with exponential backoff (8 ticks, doubling for
     each of {!config}[.retry_limit] retries).  A sub-query that exhausts
-    its retry budget degrades into a structured denial — [timeout:
-    <peer>] or [unreachable: <peer>] — that propagates through
-    {!Negotiation.outcome} (see {!Negotiation.classify_denial}) instead
-    of hanging the negotiation.  With the fault-free plan the timers stay
+    its retry budget degrades into a structured denial —
+    {!Peertrust_net.Denial.Timeout} or {!Peertrust_net.Denial.Unreachable},
+    naming the peer — that settles the request instead of hanging the
+    negotiation.  With the fault-free plan the timers stay
     disarmed and behaviour is identical to the plain queue.
 
     {2 Answer caching}
@@ -84,7 +84,7 @@
     that time out against a peer whose restart is scheduled are
     suspended and {e reissued} (fresh timer, attempt 0) once it returns;
     against a peer that never restarts they degrade into a structured
-    [crashed: <peer>] denial (see {!Negotiation.classify_denial}).
+    {!Peertrust_net.Denial.Crashed} denial.
 
     With {!config}[.journal] set, each peer also keeps a write-ahead
     journal ({!Persist.Journal}) of its durable facts — learned
@@ -144,10 +144,10 @@ val default_config : config
     journalling are opt-in. *)
 
 val create : ?config:config -> Session.t -> t
-(** The reactor replaces the peers' network handlers; create it after all
-    peers are added.  Sessions should not mix reactor and synchronous
-    {!Engine} traffic.  @raise Invalid_argument on a negative
-    [retry_limit]. *)
+(** Create it after all peers are added.  The reactor posts through the
+    session network and leaves its synchronous handlers alone, so
+    {!Negotiation.request} still works on the session afterwards.
+    @raise Invalid_argument on a negative [retry_limit]. *)
 
 type request
 
@@ -175,12 +175,15 @@ val run : ?max_steps:int -> t -> int
     unresolved requests are then denied as quiescent.  Returns the number
     of events processed. *)
 
-val result : t -> request -> Negotiation.outcome option
+val result : t -> request -> Negotiation.verdict option
 (** [None] while the request is still unresolved. *)
 
+val verdict : t -> request -> Negotiation.verdict
+(** Like {!result}, but an unresolved request is denied as
+    {!Peertrust_net.Denial.Quiescent}. *)
+
 val outcome : t -> request -> Negotiation.outcome
-(** Like {!result}, but an unresolved request reports
-    [Denied "negotiation quiescent"]. *)
+(** {!verdict}, printed. *)
 
 val parked_count : t -> int
 (** Goals currently parked across all peers (for tests/monitoring). *)
@@ -205,8 +208,8 @@ val tabling_summary : t -> (string * string * int * string) list
 
 val add_adversary :
   ?targets:string list -> t -> Peertrust_net.Adversary.t -> unit
-(** Register a misbehaving peer on the session network and queue its
-    opening burst against [targets] (default: all session peers). *)
+(** Register a misbehaving peer with the reactor and queue its opening
+    burst against [targets] (default: all session peers). *)
 
 val negotiate :
   ?config:config ->

@@ -75,7 +75,7 @@ let run_eager_multi session ~participants ~requester ~target goal =
       in
       let rec round n =
         if n > eager_rounds_limit then
-          Negotiation.Denied "eager rounds limit exceeded"
+          Error Net.Denial.Rounds_exceeded
         else
           let decision =
             in_round n (fun () ->
@@ -85,16 +85,16 @@ let run_eager_multi session ~participants ~requester ~target goal =
                 with
                 | Net.Message.Answer { instances; certs; _ } ->
                     Engine.learn ~from_:target session r_peer certs;
-                    `Done (Negotiation.Granted instances)
+                    `Done (Ok instances)
                 | Net.Message.Deny _ ->
                     if push_round () then `Retry
-                    else `Done (Negotiation.Denied "no safe disclosure sequence")
+                    else `Done (Error Net.Denial.No_safe_sequence)
                 | Net.Message.Query _ | Net.Message.Disclosure _
                 | Net.Message.Ack | Net.Message.Raw _ | Net.Message.Tquery _
                 | Net.Message.Tanswer _ | Net.Message.Tprobe _
                 | Net.Message.Tstat _ | Net.Message.Tcomplete _
                 | Net.Message.Cancel _ ->
-                    `Done (Negotiation.Denied "protocol error"))
+                    `Done (Error Net.Denial.Protocol_error))
           in
           match decision with `Done o -> o | `Retry -> round (n + 1)
       in
@@ -112,8 +112,8 @@ let run_push_relevant session ~requester ~target goal =
   in
   Engine.disclose session r_peer ~target certs;
   match Engine.query session ~requester ~target goal with
-  | [] -> Negotiation.Denied "request denied or not derivable"
-  | instances -> Negotiation.Granted instances
+  | [] -> Error Net.Denial.Not_derivable
+  | instances -> Ok instances
 
 let negotiate session ~strategy ~requester ~target goal =
   match strategy with

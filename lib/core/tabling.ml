@@ -47,7 +47,7 @@ let m_sccs = Obs.counter "tabling.sccs"
 let m_heals = Obs.counter "tabling.heals"
 let m_probes_aborted = Obs.counter "tabling.probes_aborted"
 
-exception Dep_failed of string
+exception Dep_failed of Net.Denial.t
 
 type post = {
   p_from : string;
@@ -55,7 +55,7 @@ type post = {
   p_payload : Net.Message.payload;
 }
 
-type status = Active | Complete | Failed of string
+type status = Active | Complete | Failed of Net.Denial.t
 
 type table = {
   tb_owner : string;
@@ -83,7 +83,7 @@ type view = {
   vw_seen : (string, unit) Hashtbl.t;
   mutable vw_instances : Literal.t list;
   mutable vw_final : bool;
-  mutable vw_failed : string option;
+  mutable vw_failed : Net.Denial.t option;
 }
 
 type probe = {
@@ -315,7 +315,8 @@ let eval_table t tb =
       t.queries <- [];
       let peer = Session.peer t.session tb.tb_owner in
       match resume t tb peer with
-      | exception Tabled.Unsupported msg -> fail_table tb ("unsupported: " ^ msg)
+      | exception Tabled.Unsupported msg ->
+          fail_table tb (Net.Denial.Unsupported msg)
       | exception Dep_failed reason -> fail_table tb reason
       | answers ->
           let grew = ref false in
@@ -796,7 +797,7 @@ let summary t =
         match tb.tb_status with
         | Active -> "active"
         | Complete -> "complete"
-        | Failed r -> "failed: " ^ r
+        | Failed r -> "failed: " ^ Net.Denial.to_string r
       in
       (p, k, Hashtbl.length tb.tb_seen, status) :: acc)
     t.tables []

@@ -60,7 +60,7 @@ val handle_answer :
     (no view) — the reactor settles those itself. *)
 
 val handle_deny :
-  t -> consumer:string -> from:string -> Literal.t -> string -> post list
+  t -> consumer:string -> from:string -> Literal.t -> Net.Denial.t -> post list
 (** A [Deny] for a tabled sub-goal: mark the view failed and fail every
     dependent table (propagating the reason to their consumers). *)
 

@@ -23,6 +23,18 @@ let create ?(bits = 384) ~seed () =
     verified = Hashtbl.create 64;
   }
 
+(* Generated pairs, shared by every keystore: (bits, principal seed) ->
+   pair. *)
+let generated : (int * int64, Rsa.keypair) Hashtbl.t = Hashtbl.create 64
+
+let generate ~bits seed =
+  match Hashtbl.find_opt generated (bits, seed) with
+  | Some kp -> kp
+  | None ->
+      let kp = Rsa.generate ~bits (Prng.create seed) in
+      Hashtbl.add generated (bits, seed) kp;
+      kp
+
 let keypair t name =
   match Hashtbl.find_opt t.keys name with
   | Some kp -> kp
@@ -34,7 +46,7 @@ let keypair t name =
           (fun acc c -> Int64.add (Int64.mul acc 131L) (Int64.of_int (Char.code c)))
           t.seed name
       in
-      let kp = Rsa.generate ~bits:t.bits (Prng.create name_seed) in
+      let kp = generate ~bits:t.bits name_seed in
       Hashtbl.add t.keys name kp;
       t.order <- name :: t.order;
       kp

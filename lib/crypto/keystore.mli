@@ -11,7 +11,10 @@ val create : ?bits:int -> seed:int64 -> unit -> t
 (** [bits] is the RSA modulus size used for generated keys. *)
 
 val keypair : t -> string -> Rsa.keypair
-(** The key pair of the named principal, generated on first use. *)
+(** The key pair of the named principal, generated on first use.  A pair
+    is a pure function of the modulus size and the principal's seed
+    (derived from the store's seed and the name), so keystores share
+    one process-wide table of generated pairs under that key. *)
 
 val public : t -> string -> Rsa.public
 (** Public key of the named principal (generates the pair if needed). *)

@@ -15,7 +15,7 @@ type payload =
       instances : (Literal.t * Trace.t option) list;
       certs : Peertrust_crypto.Cert.t list;
     }
-  | Deny of { goal : Literal.t; reason : string }
+  | Deny of { goal : Literal.t; reason : Denial.t }
   | Disclosure of {
       certs : Peertrust_crypto.Cert.t list;
       rules : Rule.t list;
@@ -57,7 +57,8 @@ let size = function
             + match proof with Some p -> 32 * Trace.size p | None -> 0)
           0 instances
       + List.fold_left (fun acc c -> acc + cert_size c) 0 certs
-  | Deny { goal; reason } -> 8 + literal_size goal + String.length reason
+  | Deny { goal; reason } ->
+      8 + literal_size goal + String.length (Denial.to_string reason)
   | Disclosure { certs; rules } ->
       8
       + List.fold_left (fun acc c -> acc + cert_size c) 0 certs
@@ -88,7 +89,8 @@ let summary = function
       Printf.sprintf "answer %s: %d instance(s), %d cert(s)"
         (Literal.to_string goal) (List.length instances) (List.length certs)
   | Deny { goal; reason } ->
-      Printf.sprintf "deny %s (%s)" (Literal.to_string goal) reason
+      Printf.sprintf "deny %s (%s)" (Literal.to_string goal)
+        (Denial.to_string reason)
   | Disclosure { certs; rules } ->
       Printf.sprintf "disclose %d cert(s), %d rule(s)" (List.length certs)
         (List.length rules)

@@ -31,7 +31,7 @@ type payload =
           (** credentials supporting the instances, released under the
               sender's release policies *)
     }
-  | Deny of { goal : Literal.t; reason : string }
+  | Deny of { goal : Literal.t; reason : Denial.t }
       (** refusal: no answer, or release policy not satisfied *)
   | Disclosure of {
       certs : Peertrust_crypto.Cert.t list;

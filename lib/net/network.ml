@@ -36,6 +36,7 @@ type entry = {
   time : int;
   from : string;
   target : string;
+  kind : Stats.kind;
   summary : string;
   bytes_ : int;
   certs_ : int;
@@ -148,6 +149,7 @@ let deliver ?(note = "") t ~from ~target payload =
       time = Clock.now t.clock;
       from;
       target;
+      kind;
       summary;
       bytes_;
       certs_ = Message.cert_count payload;

@@ -25,6 +25,7 @@ type entry = {
   time : int;
   from : string;
   target : string;
+  kind : Stats.kind;
   summary : string;
   bytes_ : int;
   certs_ : int;  (** certificates carried by this message *)

@@ -13,9 +13,7 @@ module Pobs = Peertrust_obs
 let key_bits = 288 (* small keys keep the 100-seed sweeps fast *)
 let max_steps = 20_000
 
-let granted = function
-  | Negotiation.Granted _ -> true
-  | Negotiation.Denied _ -> false
+let granted = Result.is_ok
 
 (* One queued scenario-1 run; [faults] installs a plan before the
    reactor starts, [config] selects reactor options (answer cache,
@@ -30,7 +28,7 @@ let run_s1 ?faults ?config () =
       (Scenario.scenario1_goal ())
   in
   let steps = Reactor.run ~max_steps reactor in
-  (Reactor.outcome reactor id, steps, reactor, net)
+  (Reactor.verdict reactor id, steps, reactor, net)
 
 (* One queued scenario-2 run with the free and paid goals interleaved
    over a single reactor queue. *)
@@ -48,7 +46,10 @@ let run_s2 ?faults ?config () =
       (Scenario.scenario2_goal_paid ())
   in
   let steps = Reactor.run ~max_steps reactor in
-  ((Reactor.outcome reactor free, Reactor.outcome reactor paid), steps, reactor, net)
+  ( (Reactor.verdict reactor free, Reactor.verdict reactor paid),
+    steps,
+    reactor,
+    net )
 
 let chaos_plan ?(drop = 0.12) ?(outage = None) seed =
   let f =
@@ -62,13 +63,12 @@ let chaos_plan ?(drop = 0.12) ?(outage = None) seed =
   f
 
 (* A faulted outcome is acceptable when it matches the fault-free outcome
-   or degrades into a denial (all denial reasons classify cleanly). *)
+   or degrades into a denial (every denial has a class). *)
 let acceptable ~label ~baseline outcome =
   match (baseline, outcome) with
-  | _, Negotiation.Denied reason ->
-      ignore (Negotiation.classify_denial reason : Negotiation.denial_class)
-  | Negotiation.Granted _, Negotiation.Granted _ -> ()
-  | Negotiation.Denied _, Negotiation.Granted _ ->
+  | _, Error d -> ignore (Net.Denial.class_of d : Net.Denial.Class.t)
+  | Ok _, Ok _ -> ()
+  | Error _, Ok _ ->
       Alcotest.failf "%s: granted under faults but denied fault-free" label
 
 let transcript_sig net =
@@ -195,14 +195,12 @@ let test_black_hole_times_out () =
   Pobs.Obs.reset_metrics ();
   let outcome, _, _, _ = run_s1 ~faults () in
   (match outcome with
-  | Negotiation.Denied reason ->
+  | Error d ->
       Alcotest.(check string)
         "classified as timeout" "timeout"
-        (Negotiation.denial_class_to_string
-           (Negotiation.classify_denial reason));
-      Alcotest.(check bool) "transport denial" true
-        (Negotiation.transport_denial reason)
-  | Negotiation.Granted _ -> Alcotest.fail "black hole cannot grant");
+        (Net.Denial.Class.to_string (Net.Denial.class_of d));
+      Alcotest.(check bool) "transport denial" true (Net.Denial.is_transport d)
+  | Ok _ -> Alcotest.fail "black hole cannot grant");
   let snapshot = Pobs.Obs.snapshot () in
   Alcotest.(check bool) "timeout counted" true
     (Pobs.Registry.counter_value snapshot "reactor.timeouts" > 0)
@@ -329,13 +327,13 @@ let run_accreditation ?faults ?(n = 3) () =
       ~target:rw.Scenario.rw_target rw.Scenario.rw_goal
   in
   let steps = Reactor.run ~max_steps reactor in
-  (Reactor.outcome reactor id, steps, reactor, net)
+  (Reactor.verdict reactor id, steps, reactor, net)
 
 let granted_set = function
-  | Negotiation.Granted instances ->
+  | Ok instances ->
       List.map (fun (l, _) -> Peertrust_dlp.Literal.to_string l) instances
       |> List.sort_uniq String.compare
-  | Negotiation.Denied reason -> [ "denied: " ^ reason ]
+  | Error d -> [ "denied: " ^ Net.Denial.to_string d ]
 
 let table_sig reactor =
   List.map
@@ -437,7 +435,7 @@ let test_crash_chaos_sweep () =
             (Printexc.to_string exn)
     in
     if steps >= max_steps then Alcotest.failf "seed %d: hit step budget" seed;
-    let outcome = Reactor.outcome reactor id in
+    let outcome = Reactor.verdict reactor id in
     acceptable ~label:(Printf.sprintf "seed %d" seed) ~baseline outcome;
     if restarts && granted outcome then incr recovered;
     (* zero duplicate certificate learning after replay: the wallet the
@@ -518,7 +516,7 @@ let test_crash_tabling_recovers_tables () =
       (Printf.sprintf "seed %d (victim %s): complete answers after restart"
          seed victim)
       base_set
-      (granted_set (Reactor.outcome reactor id));
+      (granted_set (Reactor.verdict reactor id));
     Alcotest.(check (list string))
       (Printf.sprintf "seed %d (victim %s): same frozen tables" seed victim)
       base_tables (table_sig reactor)
@@ -565,7 +563,7 @@ let run_s1_with_adversaries ?(config = guard_config) adversaries =
       (Scenario.scenario1_goal ())
   in
   let steps = Reactor.run ~max_steps:40_000 reactor in
-  (Reactor.outcome reactor id, steps, reactor)
+  (Reactor.verdict reactor id, steps, reactor)
 
 let test_adversary_sweep () =
   let baseline, _, _, _ = run_s1 () in
@@ -583,9 +581,10 @@ let test_adversary_sweep () =
     in
     if steps >= 40_000 then Alcotest.failf "seed %d: hit step budget" seed;
     (match outcome with
-    | Negotiation.Granted _ -> ()
-    | Negotiation.Denied r ->
-        Alcotest.failf "seed %d: honest negotiation denied: %s" seed r);
+    | Ok _ -> ()
+    | Error d ->
+        Alcotest.failf "seed %d: honest negotiation denied: %s" seed
+          (Net.Denial.to_string d));
     let offenders =
       List.sort_uniq compare
         (List.map snd (Guard.quarantined (Reactor.guard reactor)))
@@ -639,7 +638,7 @@ let test_guard_defaults_honest_byte_identical () =
       (Scenario.scenario1_goal ())
   in
   let steps = Reactor.run ~max_steps reactor in
-  Alcotest.(check bool) "granted" true (granted (Reactor.outcome reactor id));
+  Alcotest.(check bool) "granted" true (granted (Reactor.verdict reactor id));
   Alcotest.(check (list string)) "transcript identical under guards"
     (transcript_sig plain_net) (transcript_sig net);
   Alcotest.(check int) "same steps" plain_steps steps
@@ -664,7 +663,7 @@ let run_s1_traced ?faults () =
           (Scenario.scenario1_goal ())
       in
       let steps = Reactor.run ~max_steps reactor in
-      (Reactor.outcome reactor id, steps, tracer, net))
+      (Reactor.verdict reactor id, steps, tracer, net))
 
 let run_s2_traced ?faults () =
   let s = Scenario.scenario2 ~key_bits () in
@@ -684,7 +683,7 @@ let run_s2_traced ?faults () =
           (Scenario.scenario2_goal_paid ())
       in
       let steps = Reactor.run ~max_steps reactor in
-      ((Reactor.outcome reactor free, Reactor.outcome reactor paid), steps,
+      ((Reactor.verdict reactor free, Reactor.verdict reactor paid), steps,
        tracer, net))
 
 let test_tracing_transparent_scenario1 () =

@@ -275,8 +275,8 @@ let test_engine_unreachable_peer () =
   let report =
     Negotiation.measure session (fun () ->
         match Engine.query session ~requester:"req" ~target:"owner" (lit {|resource("r")|}) with
-        | [] -> Negotiation.Denied "no"
-        | i -> Negotiation.Granted i)
+        | [] -> Error Net.Denial.Not_derivable
+        | i -> Ok i)
   in
   Alcotest.(check bool) "denied when requester unreachable for counter-query"
     false (granted report.Negotiation.outcome)
@@ -368,6 +368,8 @@ let test_engine_message_budget () =
   | Negotiation.Denied reason ->
       Alcotest.(check string) "reason" "message budget exhausted" reason
   | Negotiation.Granted _ -> Alcotest.fail "should hit the budget");
+  Alcotest.(check bool) "typed as a budget denial" true
+    (r.Negotiation.denial = Some Net.Denial.Budget_exhausted);
   Alcotest.(check bool) "stopped at the budget" true (r.Negotiation.messages <= 3)
 
 let test_engine_max_hops () =

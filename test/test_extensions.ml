@@ -106,7 +106,7 @@ let test_proxy_negotiation_succeeds () =
   in
   Alcotest.(check bool) "granted through the proxy" true (granted r);
   Alcotest.(check int) "device forwarded one query" 1
-    (Proxy.forwarded_count session ~device:"device");
+    (Proxy.forwarded_count session ~device:"device" ~proxy:"home");
   Alcotest.(check (list (triple string string string)))
     "transcript"
     [
@@ -124,7 +124,14 @@ let test_proxy_negotiation_succeeds () =
   (* The forwarding hops show up in the transcript. *)
   let stats = Net.Network.stats session.Session.network in
   Alcotest.(check bool) "device->home traffic accounted" true
-    (Net.Stats.between stats "device" "home" >= 1)
+    (Net.Stats.between stats "device" "home" >= 1);
+  (* The count belongs to the session: a second world attaching a device
+     of the same name starts at zero and leaves the first one's alone. *)
+  let other = proxy_world () in
+  Alcotest.(check int) "a second session starts at zero" 0
+    (Proxy.forwarded_count other ~device:"device" ~proxy:"home");
+  Alcotest.(check int) "the first session keeps its count" 1
+    (Proxy.forwarded_count session ~device:"device" ~proxy:"home")
 
 let test_proxy_unreachable () =
   let session = proxy_world () in

@@ -35,7 +35,9 @@ let test_stats_counters () =
 
 let test_message_kinds_and_sizes () =
   let q = Message.Query { goal = lit {|p("x")|} } in
-  let d = Message.Deny { goal = lit {|p("x")|}; reason = "nope" } in
+  let d =
+    Message.Deny { goal = lit {|p("x")|}; reason = Denial.Not_derivable }
+  in
   Alcotest.(check bool) "query kind" true (Message.kind q = Stats.Query);
   Alcotest.(check bool) "deny kind" true (Message.kind d = Stats.Deny);
   Alcotest.(check bool) "query smaller than deny" true

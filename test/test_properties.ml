@@ -1150,7 +1150,7 @@ let prop_envelope_wire_mutated_total =
    acyclic worlds only chain downward.  NAF worlds pin the documented
    divergence instead: the merged engine raises [Tabled.Unsupported]
    and the distributed run must deny the root goal with a reason
-   {!Negotiation.classify_denial} maps to [Unsupported].  Skips and
+   {!Peertrust_net.Denial.class_of} maps to [Unsupported].  Skips and
    cyclic coverage are counted and reported like the single-engine
    paradigms section. *)
 
@@ -1295,8 +1295,8 @@ let prop_distributed_tabling_agrees =
       ignore (Reactor.run reactor);
       if dw.dw_cyclic then incr tabling_cyclic_runs;
       let kb = Kb.of_string dw.dw_merged in
-      match Reactor.outcome reactor id with
-      | Negotiation.Denied reason when dw.dw_naf ->
+      match Reactor.verdict reactor id with
+      | Error reason when dw.dw_naf ->
           incr tabling_naf_skips;
           let merged_rejects =
             match Tabled.solve ~self:dw.dw_target kb [ goal ] with
@@ -1304,10 +1304,10 @@ let prop_distributed_tabling_agrees =
             | exception Tabled.Unsupported _ -> true
           in
           merged_rejects
-          && Negotiation.classify_denial reason = Negotiation.Unsupported
-      | Negotiation.Denied _ | Negotiation.Granted _ when dw.dw_naf -> false
-      | Negotiation.Denied _ -> false
-      | Negotiation.Granted instances ->
+          && Pnet.Denial.class_of reason = Pnet.Denial.Class.Unsupported
+      | Error _ | Ok _ when dw.dw_naf -> false
+      | Error _ -> false
+      | Ok instances ->
           let dist =
             List.map (fun (l, _) -> Literal.to_string l) instances
             |> List.sort_uniq String.compare

@@ -322,17 +322,38 @@ let test_reactor_deadlock_quiesces () =
   Alcotest.(check bool) "denied" false (granted (Reactor.outcome reactor id));
   Alcotest.(check int) "no goals left parked" 0 (Reactor.parked_count reactor)
 
+(* A reactor posts through the session network without touching its
+   synchronous handlers: the same session still negotiates synchronously
+   after a queued run. *)
+let test_reactor_keeps_sync_handlers () =
+  let s = Scenario.scenario1 () in
+  let session = s.Scenario.s1_session in
+  let goal = Scenario.scenario1_goal () in
+  Alcotest.(check bool) "granted through the reactor" true
+    (granted (run_reactor session ~requester:"Alice" ~target:"E-Learn" goal));
+  let sync =
+    Negotiation.request session ~requester:"Alice" ~target:"E-Learn" goal
+  in
+  Alcotest.(check bool) "granted synchronously afterwards" true
+    (Negotiation.succeeded sync)
+
 let test_reactor_unreachable_target () =
   let session = Session.create () in
   ignore (Session.add_peer session ~program:{|info(1) $ true.|} "owner");
   ignore (Session.add_peer session "req");
   Net.Network.set_down session.Session.network "owner" true;
-  match run_reactor session ~requester:"req" ~target:"owner" (lit "info(X)") with
-  | Negotiation.Denied reason ->
-      Alcotest.(check string) "structured reason" "unreachable: owner" reason;
+  let reactor = Reactor.create session in
+  let id =
+    Reactor.submit reactor ~requester:"req" ~target:"owner" (lit "info(X)")
+  in
+  ignore (Reactor.run reactor);
+  match Reactor.verdict reactor id with
+  | Error d ->
+      Alcotest.(check string) "structured reason" "unreachable: owner"
+        (Net.Denial.to_string d);
       Alcotest.(check bool) "classified as transport denial" true
-        (Negotiation.transport_denial reason)
-  | Negotiation.Granted _ -> Alcotest.fail "down peer cannot grant"
+        (Net.Denial.is_transport d)
+  | Ok _ -> Alcotest.fail "down peer cannot grant"
 
 let counter_query_world ?max_messages () =
   let session = Session.create ?max_messages () in
@@ -403,13 +424,13 @@ let test_reactor_budget_denies_all_parked () =
   ignore (Reactor.run reactor);
   List.iter
     (fun id ->
-      match Reactor.outcome reactor id with
-      | Negotiation.Denied reason ->
+      match Reactor.verdict reactor id with
+      | Error d ->
           Alcotest.(check string) "budget reason" "message budget exhausted"
-            reason;
+            (Net.Denial.to_string d);
           Alcotest.(check bool) "classified as budget" true
-            (Negotiation.transport_denial reason)
-      | Negotiation.Granted _ -> Alcotest.fail "should hit the budget")
+            (Net.Denial.is_transport d)
+      | Ok _ -> Alcotest.fail "should hit the budget")
     [ r1; r2 ]
 
 let test_reactor_negotiate_convenience () =
@@ -634,7 +655,7 @@ let test_guard_breaker_transitions () =
   let breaker () = Guard.breaker_state g ~from:"mal" ~target:"owner" in
   (* Two violations inside the window trip the breaker... *)
   (match admit ~now:0 garbage with
-  | Guard.Reject (Guard.Malformed _) -> ()
+  | Guard.Reject (Net.Denial.Malformed _) -> ()
   | _ -> Alcotest.fail "garbage must be rejected");
   ignore (admit ~now:1 garbage);
   (match breaker () with
@@ -644,7 +665,7 @@ let test_guard_breaker_transitions () =
     [ ("owner", "mal") ] (Guard.quarantined g);
   (* ...everything is rejected while it is open... *)
   (match admit ~now:5 Net.Message.Ack with
-  | Guard.Reject Guard.Quarantined -> ()
+  | Guard.Reject Net.Denial.Quarantined -> ()
   | _ -> Alcotest.fail "quarantine must reject even Ack");
   (* ...a served quarantine moves to half-open, and a clean payload
      during probation closes it again... *)
@@ -656,7 +677,7 @@ let test_guard_breaker_transitions () =
   ignore (admit ~now:20 garbage);
   ignore (admit ~now:21 garbage);
   (match admit ~now:31 garbage with
-  | Guard.Reject (Guard.Malformed _) -> ()
+  | Guard.Reject (Net.Denial.Malformed _) -> ()
   | _ -> Alcotest.fail "half-open garbage must be judged, not waved in");
   match breaker () with
   | Guard.Open { until } -> Alcotest.(check int) "re-opened until" 41 until
@@ -671,7 +692,7 @@ let test_guard_rate_limit () =
     | _ -> Alcotest.failf "query %d is within the rate" i
   done;
   (match admit ~now:0 with
-  | Guard.Reject Guard.Flooding -> ()
+  | Guard.Reject Net.Denial.Flooding -> ()
   | _ -> Alcotest.fail "fourth same-tick query must be rate-limited");
   (* Outside the sliding window the rate recovers. *)
   match admit ~now:20 with
@@ -685,7 +706,7 @@ let test_guard_quota () =
   Guard.charge_work g ~from:"req" ~target:"owner" 100;
   Alcotest.(check int) "quota spent" 0 (remaining ());
   match Guard.admit g ~now:0 ~from:"req" ~target:"owner" probe with
-  | Guard.Reject Guard.Quota_exhausted -> ()
+  | Guard.Reject Net.Denial.Quota_exhausted -> ()
   | _ -> Alcotest.fail "query beyond the quota must be rejected"
 
 (* The reactor charges a guarded evaluation with the solver steps it
@@ -750,7 +771,7 @@ let test_guard_solicitation () =
     Net.Message.Answer { goal = lit "p(1)"; instances = []; certs = [] }
   in
   (match Guard.admit g ~now:0 ~from:"peer" ~target:"owner" answer with
-  | Guard.Reject (Guard.Unsolicited _) -> ()
+  | Guard.Reject (Net.Denial.Unsolicited _) -> ()
   | _ -> Alcotest.fail "spoofed answer must be rejected");
   (match
      Guard.admit g ~now:0 ~from:"peer" ~target:"owner"
@@ -787,7 +808,7 @@ let test_guard_bad_cert_and_bomb () =
        ~solicited:(fun _ -> `Outstanding)
        answer
    with
-  | Guard.Reject (Guard.Bad_cert _) -> ()
+  | Guard.Reject (Net.Denial.Bad_cert _) -> ()
   | _ -> Alcotest.fail "forged certificate must be rejected");
   (* A goal with an absurd authority chain is a delegation bomb. *)
   let deep =
@@ -799,24 +820,135 @@ let test_guard_bad_cert_and_bomb () =
     Guard.admit g ~now:0 ~from:"peer" ~target:"owner"
       (Net.Message.Query { goal = deep })
   with
-  | Guard.Reject (Guard.Bomb _) -> ()
+  | Guard.Reject (Net.Denial.Bomb _) -> ()
   | _ -> Alcotest.fail "delegation bomb must be rejected"
 
 let test_classify_guard_denials () =
-  let check_class reason expect =
+  let check_class violation expect =
+    let d = Net.Denial.Rejected (violation, Some "E-Learn") in
+    let reason = Net.Denial.to_string d in
     Alcotest.(check string) reason expect
-      (Negotiation.denial_class_to_string (Negotiation.classify_denial reason));
+      (Net.Denial.Class.to_string (Net.Denial.class_of d));
     Alcotest.(check bool)
       (reason ^ ": guard denials are not transport denials")
-      false
-      (Negotiation.transport_denial reason)
+      false (Net.Denial.is_transport d)
   in
-  check_class "quarantined: E-Learn" "quarantined";
-  check_class "rate-limited: E-Learn" "rate-limited";
-  check_class "quota: E-Learn" "quota";
+  check_class Net.Denial.Quarantined "quarantined";
+  check_class Net.Denial.Flooding "rate-limited";
+  check_class Net.Denial.Quota_exhausted "quota";
   Alcotest.(check string) "policy fallback" "policy"
-    (Negotiation.denial_class_to_string
-       (Negotiation.classify_denial "release policy not satisfied"))
+    (Net.Denial.Class.to_string
+       (Net.Denial.class_of Net.Denial.Release_unsatisfied))
+
+(* The string classifier denials were parsed back with before they were
+   typed, kept verbatim as the oracle the typed classes must agree with
+   on every printed reason. *)
+let oracle_has_prefix ~prefix s =
+  String.length s >= String.length prefix
+  && String.equal (String.sub s 0 (String.length prefix)) prefix
+
+let oracle_class reason =
+  let has_prefix = oracle_has_prefix in
+  if has_prefix ~prefix:"timeout" reason then "timeout"
+  else if
+    has_prefix ~prefix:"unreachable" reason
+    || has_prefix ~prefix:"peer unreachable" reason
+  then "unreachable"
+  else if String.equal reason "message budget exhausted" then "budget"
+  else if String.equal reason "negotiation cycle" then "cycle"
+  else if String.equal reason "negotiation quiescent" then "quiescent"
+  else if has_prefix ~prefix:"quarantined" reason then "quarantined"
+  else if has_prefix ~prefix:"rate-limited" reason then "rate-limited"
+  else if has_prefix ~prefix:"quota" reason then "quota"
+  else if has_prefix ~prefix:"unsupported" reason then "unsupported"
+  else if
+    has_prefix ~prefix:"crashed" reason
+    || has_prefix ~prefix:"peer crashed" reason
+  then "crashed"
+  else "policy"
+
+let oracle_transport reason =
+  match oracle_class reason with
+  | "timeout" | "unreachable" | "budget" -> true
+  | _ -> false
+
+(* One number per constructor: a new constructor fails to compile here
+   until it is ranked, and the sample list below must cover every rank. *)
+let denial_rank d =
+  let open Net.Denial in
+  match d with
+  | Release_unsatisfied -> 0
+  | No_release_policy -> 1
+  | Reentrant -> 2
+  | Not_derivable -> 3
+  | By_target -> 4
+  | Rounds_exceeded -> 5
+  | No_safe_sequence -> 6
+  | Protocol_error -> 7
+  | Withdrawn -> 8
+  | Unreachable _ -> 9
+  | Peer_unreachable _ -> 10
+  | Proxy_unreachable -> 11
+  | Timeout _ -> 12
+  | Deadline_expired -> 13
+  | Budget_exhausted -> 14
+  | Crashed _ -> 15
+  | Requester_crashed -> 16
+  | Rejected _ -> 17
+  | Cycle -> 18
+  | Quiescent -> 19
+  | Unsupported _ -> 20
+
+let denial_samples =
+  let open Net.Denial in
+  let violations =
+    [
+      Malformed "bad"; Oversized 9000; Unsolicited "g(1)"; Bad_cert "CA";
+      Flooding; Quota_exhausted; Bomb 40; Quarantined;
+    ]
+  in
+  [
+    Release_unsatisfied; No_release_policy; Reentrant; Not_derivable;
+    By_target; Rounds_exceeded; No_safe_sequence; Protocol_error; Withdrawn;
+    Peer_unreachable "owner"; Proxy_unreachable; Deadline_expired;
+    Budget_exhausted; Requester_crashed; Cycle; Quiescent;
+    Unsupported "negation as failure";
+  ]
+  @ List.concat_map
+      (fun peer ->
+        [ Unreachable peer; Timeout peer; Crashed peer ]
+        @ List.map (fun v -> Rejected (v, peer)) violations)
+      [ None; Some "E-Learn" ]
+
+(* Typed classification agrees with the old string classifier on every
+   printed reason, except the two reasons it misread as policy. *)
+let test_classify_matches_string_oracle () =
+  Alcotest.(check (list int))
+    "every constructor sampled"
+    (List.init 21 Fun.id)
+    (List.sort_uniq compare (List.map denial_rank denial_samples));
+  List.iter
+    (fun d ->
+      let reason = Net.Denial.to_string d in
+      let cls = Net.Denial.Class.to_string (Net.Denial.class_of d) in
+      match d with
+      | Net.Denial.Deadline_expired | Net.Denial.Proxy_unreachable ->
+          Alcotest.(check (pair string bool))
+            (reason ^ ": the oracle misread it as policy") ("policy", false)
+            (oracle_class reason, oracle_transport reason);
+          Alcotest.(check string)
+            (reason ^ ": class")
+            (if d = Net.Denial.Deadline_expired then "timeout"
+             else "unreachable")
+            cls;
+          Alcotest.(check bool)
+            (reason ^ ": transport") true (Net.Denial.is_transport d)
+      | _ ->
+          Alcotest.(check string) (reason ^ ": class") (oracle_class reason) cls;
+          Alcotest.(check bool)
+            (reason ^ ": transport") (oracle_transport reason)
+            (Net.Denial.is_transport d))
+    denial_samples
 
 let test_dedup_bounded () =
   let d = Net.Dedup.create ~cap:4 in
@@ -841,13 +973,13 @@ let run_tabled ?(config = tabling_config) session ~requester ~target goal =
   let reactor = Reactor.create ~config session in
   let id = Reactor.submit reactor ~requester ~target goal in
   ignore (Reactor.run reactor);
-  (Reactor.outcome reactor id, reactor)
+  (Reactor.verdict reactor id, reactor)
 
 let sorted_instances = function
-  | Negotiation.Granted instances ->
+  | Ok instances ->
       List.map (fun (l, _) -> Literal.to_string l) instances
       |> List.sort_uniq String.compare
-  | Negotiation.Denied reason -> [ "denied: " ^ reason ]
+  | Error d -> [ "denied: " ^ Net.Denial.to_string d ]
 
 let expected_strings rw =
   List.map Literal.to_string rw.Scenario.rw_expected
@@ -900,7 +1032,8 @@ let test_tabling_off_cycle_denied () =
       ~requester:rw.Scenario.rw_requester ~target:rw.Scenario.rw_target
       rw.Scenario.rw_goal
   in
-  Alcotest.(check bool) "cycle denied without tabling" false (granted outcome)
+  Alcotest.(check bool) "cycle denied without tabling" false
+    (Result.is_ok outcome)
 
 let test_tabling_acyclic_chain () =
   (* An acyclic cross-peer chain under tabling produces the full answer
@@ -936,11 +1069,10 @@ let test_tabling_naf_unsupported () =
     run_tabled session ~requester:"client" ~target:"owner" (lit "ok(X)")
   in
   match outcome with
-  | Negotiation.Denied reason ->
+  | Error d ->
       Alcotest.(check string) "classified unsupported" "unsupported"
-        (Negotiation.denial_class_to_string
-           (Negotiation.classify_denial reason))
-  | Negotiation.Granted _ ->
+        (Net.Denial.Class.to_string (Net.Denial.class_of d))
+  | Ok _ ->
       Alcotest.fail "NAF under distributed tabling must deny as unsupported"
 
 (* Wire-level pins: the full (from, target, summary, bytes) transcripts
@@ -1113,8 +1245,8 @@ let test_tabling_cached_rerun () =
   in
   Alcotest.(check (list string))
     "both runs grant the same set"
-    (sorted_instances (Reactor.outcome reactor id1))
-    (sorted_instances (Reactor.outcome reactor id2));
+    (sorted_instances (Reactor.verdict reactor id1))
+    (sorted_instances (Reactor.verdict reactor id2));
   Alcotest.(check bool) "first run granted" true
     (granted (Reactor.outcome reactor id1));
   Alcotest.(check int) "cache replay posts nothing" msgs_before msgs_after
@@ -1159,7 +1291,7 @@ let run_s1_crash ?(config = Reactor.default_config) specs =
       (lit {|discountEnroll(spanish101, "Alice")|})
   in
   ignore (Reactor.run reactor);
-  (Reactor.outcome reactor id, session)
+  (Reactor.verdict reactor id, session)
 
 let wallet_serials session name =
   let p = Session.peer session name in
@@ -1172,12 +1304,11 @@ let wallet_serials session name =
 let counter snap name = Pobs.Registry.counter_value snap name
 
 let check_crashed = function
-  | Negotiation.Denied reason ->
+  | Error d ->
       Alcotest.(check string)
         "denial classified as Crashed" "crashed"
-        (Negotiation.denial_class_to_string
-           (Negotiation.classify_denial reason))
-  | Negotiation.Granted _ -> Alcotest.fail "granted against a dead peer"
+        (Net.Denial.Class.to_string (Net.Denial.class_of d))
+  | Ok _ -> Alcotest.fail "granted against a dead peer"
 
 let test_crash_forever_denied () =
   (* The responder crash-stops mid-negotiation and never returns: the
@@ -1197,13 +1328,13 @@ let test_crash_restart_journal_recovers () =
      wallet must equal the fault-free one — journal replay never
      double-learns a certificate. *)
   let baseline, clean_session = run_s1_crash [] in
-  Alcotest.(check bool) "fault-free grants" true (granted baseline);
+  Alcotest.(check bool) "fault-free grants" true (Result.is_ok baseline);
   let clean = wallet_serials clean_session "E-Learn" in
   Pobs.Obs.reset_metrics ();
   let outcome, session =
     run_s1_crash ~config:journal_memory [ ("E-Learn", 5, 40) ]
   in
-  Alcotest.(check bool) "recovers and grants" true (granted outcome);
+  Alcotest.(check bool) "recovers and grants" true (Result.is_ok outcome);
   let snap = Pobs.Obs.snapshot () in
   Alcotest.(check int) "one crash" 1 (counter snap "reactor.crashes");
   Alcotest.(check int) "one restart" 1 (counter snap "reactor.restarts");
@@ -1223,7 +1354,7 @@ let test_crash_requester_root_recovery () =
   check_crashed outcome;
   Pobs.Obs.reset_metrics ();
   let outcome, _ = run_s1_crash ~config:journal_memory [ ("Alice", 2, 14) ] in
-  Alcotest.(check bool) "journalled root grants" true (granted outcome);
+  Alcotest.(check bool) "journalled root grants" true (Result.is_ok outcome);
   let snap = Pobs.Obs.snapshot () in
   Alcotest.(check bool) "root goal recovered from the journal" true
     (counter snap "reactor.recovered_goals" >= 1)
@@ -1237,7 +1368,8 @@ let test_crash_suspend_reissue () =
   let outcome, _ =
     run_s1_crash ~config:journal_memory [ ("E-Learn", 2, 150) ]
   in
-  Alcotest.(check bool) "grants after the long outage" true (granted outcome);
+  Alcotest.(check bool) "grants after the long outage" true
+    (Result.is_ok outcome);
   let snap = Pobs.Obs.snapshot () in
   Alcotest.(check bool) "retries burnt against the dead peer" true
     (counter snap "reactor.retries" > 0);
@@ -1407,6 +1539,7 @@ let () =
           tc "scenario 2 free course" test_reactor_scenario2_free;
           tc "agrees with sync engine" test_reactor_matches_sync_on_chains;
           tc "chain discovery" test_reactor_chain_discovery;
+          tc "sync handlers survive a reactor" test_reactor_keeps_sync_handlers;
         ] );
       ( "concurrency",
         [
@@ -1465,6 +1598,8 @@ let () =
           tc "solicitation" test_guard_solicitation;
           tc "bad certs and bombs" test_guard_bad_cert_and_bomb;
           tc "denial classification" test_classify_guard_denials;
+          tc "classes match the string oracle"
+            test_classify_matches_string_oracle;
           tc "bounded dedup set" test_dedup_bounded;
         ] );
       ( "crash",
