@@ -631,7 +631,8 @@ let negotiate_cmd =
       (fun file ->
         match Peertrust_crypto.Wire.decode_many (read_file file) with
         | Ok certs ->
-            Engine.learn session (Session.peer session requester) certs
+            ignore
+              (Engine.learn session (Session.peer session requester) certs)
         | Error e ->
             Format.eprintf "wallet %s: %a@." file Peertrust_crypto.Wire.pp_error e;
             exit 1)

@@ -42,17 +42,32 @@ if grep -rn 'Cert\.verify' lib/core | grep -v '^lib/core/session\.mli\{0,1\}:'; 
   exit 1
 fi
 
+# One receipt step: knowledge received from another peer enters a peer
+# only through Engine.receive, so neither the queued runtime, the
+# strategies nor distributed tabling learn certificates or add rules
+# themselves.
+if grep -nE 'Engine\.learn|Peer\.add_cert|Peer\.add_rule' \
+  lib/core/reactor.ml lib/core/strategy.ml lib/core/tabling.ml; then
+  echo "check: received knowledge learned outside Engine.receive" >&2
+  exit 1
+fi
+
+# Remote dispatch has one parameter, [remote] (Sld.no_remote keeps an
+# evaluation local); no boolean switch selects it.
+if grep -rn 'allow_remote' lib; then
+  echo "check: allow_remote in lib/ (pass ~remote:Sld.no_remote)" >&2
+  exit 1
+fi
+
 # One home for the denial vocabulary: reasons are Peertrust_net.Denial
 # constructors, classified by Denial.class_of.  No string classifier or
-# prefix test on a reason, and no Deny payload or Denied outcome built
-# from a string literal (core/policy.ml's per-credential release decision
-# is not a denial: it never reaches the wire or an outcome).
+# prefix test on a reason, and no Deny payload, Denied outcome or
+# Policy.decision built from a string literal.
 if grep -rnE 'classify_denial|(has_prefix|starts_with|String\.sub)[^;]*reason' lib; then
   echo "check: a denial reason is parsed as a string in lib/" >&2
   exit 1
 fi
-if grep -rnE 'reason = "|Deny \(?"|Denied \(?"' lib --include='*.ml' \
-  | grep -v '^lib/core/policy\.ml:'; then
+if grep -rnE 'reason = "|Deny \(?"|Denied \(?"' lib --include='*.ml'; then
   echo "check: a Deny or Denied is built from a string literal in lib/" >&2
   exit 1
 fi

@@ -26,8 +26,7 @@ val create : unit -> t
 
 val attach : t -> Session.t -> unit
 (** Wrap every registered peer's network handler so that queries and their
-    outcomes are recorded.  Call after {!Engine.attach_all} (and re-call
-    after handlers are replaced). *)
+    outcomes are recorded.  Call after {!Engine.attach_all}. *)
 
 val record :
   t -> at:int -> peer:string -> requester:string -> goal:Literal.t ->

@@ -6,7 +6,7 @@ let authority_fact ~pred ~authority =
 let install_directory peer directory =
   List.iter
     (fun (pred, authority) ->
-      Peer.add_rule peer (authority_fact ~pred ~authority))
+      ignore (Peer.add_rule peer (authority_fact ~pred ~authority)))
     directory
 
 let add_broker session ~name ~directory =
@@ -15,7 +15,7 @@ let add_broker session ~name ~directory =
     (fun (pred, authority) ->
       let fact = authority_fact ~pred ~authority in
       (* Publicly queryable directory entry. *)
-      Peer.add_rule peer { fact with Rule.head_ctx = Some [] })
+      ignore (Peer.add_rule peer { fact with Rule.head_ctx = Some [] }))
     directory;
   Engine.attach session peer;
   peer

@@ -18,7 +18,7 @@ let grant session ~holder rule =
     invalid_arg "Delegation.grant: rule is unsigned";
   match Peertrust_crypto.Cert.issue session.Session.keystore rule with
   | Ok cert ->
-      Peer.add_cert holder cert;
+      ignore (Peer.add_cert holder cert);
       cert
   | Error e ->
       invalid_arg

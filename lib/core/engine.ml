@@ -20,7 +20,7 @@ let m_certs_rejected = Obs.counter "engine.certs_rejected"
 let h_proof_depth = Obs.histogram "engine.proof_depth"
 
 let learn ?from_ session peer certs =
-  List.iter
+  List.filter
     (fun (c : Crypto.Cert.t) ->
       if Session.admits_cert session c then begin
         Metric.incr m_certs_learned;
@@ -30,9 +30,23 @@ let learn ?from_ session peer certs =
         Metric.incr m_certs_rejected;
         Log.warn (fun m ->
             m "%s rejects certificate #%d (verification failed)"
-              peer.Peer.name c.Crypto.Cert.serial)
+              peer.Peer.name c.Crypto.Cert.serial);
+        false
       end)
     certs
+
+let receive session peer ~from ?(instances = []) certs =
+  let certs = learn ~from_:from session peer certs in
+  (* Each received ground instance becomes a "[from] says" fact — the
+     paper's axiom converting a literal received from peer P into
+     [lit @ P] — so later goals about it resolve locally. *)
+  let says (inst, _) =
+    if not (Literal.is_ground inst) then None
+    else
+      let r = Rule.fact (Literal.push_authority inst (Term.str from)) in
+      if Peer.add_rule peer r then Some r else None
+  in
+  (certs, List.filter_map says instances)
 
 (* The resolution work of one {!answer_stats} call: every inner solve is
    capped at [cap] steps, and [spent] sums the steps they took. *)
@@ -57,17 +71,7 @@ let rec remote_callback session peer ~target lit =
           with
           | exception Net.Network.Unreachable _ -> []
           | Net.Message.Answer { instances; certs; _ } ->
-              learn ~from_:target session peer certs;
-              (* Cache each received instance as a "[target] says" fact —
-                 the paper's axiom converting a literal received from peer P
-                 into [lit @ P] — so later goals about it resolve locally. *)
-              List.iter
-                (fun (inst, _) ->
-                  if Literal.is_ground inst then
-                    Peer.add_rule peer
-                      (Rule.fact
-                         (Literal.push_authority inst (Term.str target))))
-                instances;
+              ignore (receive session peer ~from:target ~instances certs);
               instances
           | Net.Message.Deny _ | Net.Message.Disclosure _ | Net.Message.Ack
           | Net.Message.Query _ | Net.Message.Raw _ | Net.Message.Tquery _
@@ -88,19 +92,14 @@ let rec remote_callback session peer ~target lit =
       "query" run
   else run ()
 
-and eval_goals ?(allow_remote = true) ?remote ?solutions ?requester ?meter
-    session peer goals =
+and eval_goals ?remote ?solutions ?requester ?meter session peer goals =
   let bindings =
     match requester with
     | Some r -> [ ("Requester", Term.str r) ]
     | None -> []
   in
   let remote =
-    match remote with
-    | Some r -> r
-    | None ->
-        if allow_remote then remote_callback session peer
-        else fun ~target:_ _ -> []
+    match remote with Some r -> r | None -> remote_callback session peer
   in
   let options =
     match solutions with
@@ -120,21 +119,19 @@ and eval_goals ?(allow_remote = true) ?remote ?solutions ?requester ?meter
   (match meter with Some m -> m.spent <- m.spent + steps | None -> ());
   answers
 
-let evaluate ?allow_remote ?remote ?solutions ?requester session peer goals =
-  eval_goals ?allow_remote ?remote ?solutions ?requester session peer goals
+let evaluate ?remote ?solutions ?requester session peer goals =
+  eval_goals ?remote ?solutions ?requester session peer goals
 
-let metered_prover ?allow_remote ?remote ?meter session peer : Policy.prover =
+let metered_prover ?remote ?meter session peer : Policy.prover =
  fun ~requester goals ->
   (* One witness suffices to grant a release. *)
   match
-    eval_goals ?allow_remote ?remote ~solutions:1 ~requester ?meter session
-      peer goals
+    eval_goals ?remote ~solutions:1 ~requester ?meter session peer goals
   with
   | [] -> None
   | a :: _ -> Some a
 
-let prover ?allow_remote ?remote session peer =
-  metered_prover ?allow_remote ?remote session peer
+let prover ?remote session peer = metered_prover ?remote session peer
 
 (* Rename the residual engine-generated variables ([X~e12], [Email~2], or
    raw fresh ids) in an answer instance to neutral names, so reports and
@@ -193,10 +190,10 @@ let releasable_to ~prover peer ~requester rule =
 (* Certificates backing the signed rules used in the given proofs, plus
    [extra] rules (the top-level rule when it is itself signed), filtered by
    their release policies towards [requester]. *)
-let releasable_proof_certs ?allow_remote ?remote ~meter session peer
-    ~requester proofs extra =
+let releasable_proof_certs ?remote ~meter session peer ~requester proofs extra
+    =
   let used = Trace.credentials_of_list proofs @ extra in
-  let prover = metered_prover ?allow_remote ?remote ~meter session peer in
+  let prover = metered_prover ?remote ~meter session peer in
   used
   |> List.filter_map (fun rule ->
          match Peer.cert_for peer rule with
@@ -205,8 +202,7 @@ let releasable_proof_certs ?allow_remote ?remote ~meter session peer
          | Some _ | None -> None)
   |> dedup_certs
 
-let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
-    goal =
+let answer_body ?remote ~meter session peer ~requester goal =
   if not (Peer.enter peer ~requester goal) then Error Net.Denial.Reentrant
   else
     Fun.protect
@@ -248,8 +244,8 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
           in
           let extra = if Rule.is_signed rule then [ rule ] else [] in
           let answer_certs =
-            releasable_proof_certs ~allow_remote ?remote ~meter session peer
-              ~requester proofs extra
+            releasable_proof_certs ?remote ~meter session peer ~requester
+              proofs extra
           in
           certs := !certs @ answer_certs;
           let proof =
@@ -277,9 +273,8 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
                     List.map (Literal.apply s0) (ctx_builtin @ r.Rule.body)
                   in
                   let body_answers =
-                    eval_goals ~allow_remote ?remote
-                      ~solutions:config.Session.max_answers ~requester ~meter
-                      session peer pre_goals
+                    eval_goals ?remote ~solutions:config.Session.max_answers
+                      ~requester ~meter session peer pre_goals
                   in
                   let n_builtin = List.length ctx_builtin in
                   let use_answer (a : Sld.answer) =
@@ -298,8 +293,8 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
                         | [] -> Some Subst.empty
                         | goals -> (
                             match
-                              eval_goals ~allow_remote ?remote ~solutions:1
-                                ~requester ~meter session peer goals
+                              eval_goals ?remote ~solutions:1 ~requester
+                                ~meter session peer goals
                             with
                             | [] -> None
                             | a2 :: _ -> Some a2.Sld.subst)
@@ -340,13 +335,11 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
             let r = Rule.rename ~suffix rule in
             try_heads (Policy.credential_heads r) (fun s0 ->
                 saw_release_rule := true;
-                let prover =
-                  metered_prover ~allow_remote ?remote ~meter session peer
-                in
+                let prover = metered_prover ?remote ~meter session peer in
                 if releasable_to ~prover peer ~requester rule then
                   match
-                    eval_goals ~allow_remote ?remote ~solutions:1 ~requester
-                      ~meter session peer
+                    eval_goals ?remote ~solutions:1 ~requester ~meter session
+                      peer
                       (List.map (Literal.apply s0) r.Rule.body)
                   with
                   | [] -> ()
@@ -381,9 +374,7 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
                release policies also grant the requester (this is how a
                delegation chain collected hop by hop reaches the original
                requester). *)
-            let prover =
-              metered_prover ~allow_remote ?remote ~meter session peer
-            in
+            let prover = metered_prover ?remote ~meter session peer in
             let relayed =
               Hashtbl.fold
                 (fun _ (c : Crypto.Cert.t) acc ->
@@ -399,12 +390,9 @@ let answer_body ?(allow_remote = true) ?remote ~meter session peer ~requester
             in
             Ok (instances, dedup_certs (!certs @ relayed)))
 
-let answer_stats ?allow_remote ?remote ?(max_steps = max_int) session peer
-    ~requester goal =
+let answer_stats ?remote ?(max_steps = max_int) session peer ~requester goal =
   let meter = { cap = max_steps; spent = 0 } in
-  let run () =
-    answer_body ?allow_remote ?remote ~meter session peer ~requester goal
-  in
+  let run () = answer_body ?remote ~meter session peer ~requester goal in
   let result =
     let tracer = Obs.tracer () in
     if Otracer.enabled tracer then
@@ -431,14 +419,14 @@ let answer_stats ?allow_remote ?remote ?(max_steps = max_int) session peer
   | Error _ -> Metric.incr m_denials);
   (result, meter.spent)
 
-let answer ?allow_remote ?remote session peer ~requester goal =
-  fst (answer_stats ?allow_remote ?remote session peer ~requester goal)
+let answer ?remote session peer ~requester goal =
+  fst (answer_stats ?remote session peer ~requester goal)
 
-let handler ?allow_remote session peer : Net.Network.handler =
+let handler ?remote session peer : Net.Network.handler =
  fun ~from payload ->
   match payload with
   | Net.Message.Query { goal } -> (
-      match answer ?allow_remote session peer ~requester:from goal with
+      match answer ?remote session peer ~requester:from goal with
       | Ok (instances, certs) ->
           Log.debug (fun m ->
               m "%s answers %s for %s: %d instance(s), %d cert(s)"
@@ -451,13 +439,8 @@ let handler ?allow_remote session peer : Net.Network.handler =
                 (Literal.to_string goal) from
                 (Net.Denial.to_string reason));
           Net.Message.Deny { goal; reason })
-  | Net.Message.Disclosure { certs; rules } ->
-      learn ~from_:from session peer certs;
-      (* Unsigned pushed rules are policy hints (e.g. a disseminated
-         eligibility rule); they carry no authority of their own. *)
-      List.iter
-        (fun r -> if not (Rule.is_signed r) then Peer.add_rule peer r)
-        rules;
+  | Net.Message.Disclosure { certs } ->
+      ignore (receive session peer ~from certs);
       Net.Message.Ack
   | Net.Message.Answer _ | Net.Message.Deny _ | Net.Message.Ack
   | Net.Message.Raw _ | Net.Message.Tquery _ | Net.Message.Tanswer _
@@ -478,8 +461,8 @@ let query session ~requester ~target goal =
   let peer = Session.peer session requester in
   remote_callback session peer ~target goal
 
-let releasable_certs ?allow_remote session peer ~requester =
-  let prover = prover ?allow_remote session peer in
+let releasable_certs ?remote session peer ~requester =
+  let prover = prover ?remote session peer in
   Hashtbl.fold (fun _ c acc -> c :: acc) peer.Peer.certs []
   |> List.filter (fun (c : Crypto.Cert.t) ->
          releasable_to ~prover peer ~requester c.Crypto.Cert.rule)
@@ -489,4 +472,4 @@ let disclose session peer ~target certs =
   if certs <> [] then
     ignore
       (Net.Network.send session.Session.network ~from:peer.Peer.name ~target
-         (Net.Message.Disclosure { certs; rules = [] }))
+         (Net.Message.Disclosure { certs }))

@@ -18,21 +18,26 @@
     + attach the certificates for the signed rules used by the proof,
       filtered by their own release policies;
     + the requester verifies every received certificate before its rule
-      enters the knowledge base. *)
+      enters the knowledge base, and records each literal [lit] received
+      from [P] as [lit @ P] ({!receive}, shared by both runtimes).
+
+    Remote dispatch has one parameter, [remote]: by default sub-goals go
+    over the session network and are answered recursively;
+    {!Sld.no_remote} keeps evaluation local (eager strategy); the
+    {!Reactor} passes a collector of blocked sub-goals. *)
 
 open Peertrust_dlp
 
 type instance = Literal.t * Trace.t option
 
 val handler :
-  ?allow_remote:bool -> Session.t -> Peer.t -> Peertrust_net.Network.handler
+  ?remote:Sld.remote -> Session.t -> Peer.t -> Peertrust_net.Network.handler
 (** The peer's synchronous message handler: a [Query] is answered by
     {!answer} with the sender as requester ([Answer] or [Deny]); a
-    [Disclosure] is learned (certificates through {!learn}, unsigned rules
-    added as policy hints) and acknowledged; anything else gets [Ack].
-    [allow_remote] is passed to {!answer}: the eager strategy serves with
-    [false], so no counter-query leaves the peer.  Wrappers ({!Audit},
-    {!Proxy}) decorate or delegate to it. *)
+    [Disclosure] goes through {!receive} and is acknowledged; anything
+    else gets [Ack].  [remote] is passed to {!answer}: the eager strategy
+    serves with {!Sld.no_remote}, so no counter-query leaves the peer.
+    Wrappers ({!Audit}, {!Proxy}) decorate or delegate to it. *)
 
 val attach : Session.t -> Peer.t -> unit
 (** Register the peer's {!handler} on the session network. *)
@@ -41,26 +46,21 @@ val attach_all : Session.t -> unit
 
 val query :
   Session.t -> requester:string -> target:string -> Literal.t -> instance list
-(** Client side: send one query, verify and learn the returned credentials,
+(** Client side: send one query, take the reply through {!receive},
     return the provable instances.  Empty on denial or unreachable
     target. *)
 
 val answer :
-  ?allow_remote:bool ->
   ?remote:Sld.remote ->
   Session.t ->
   Peer.t ->
   requester:string ->
   Literal.t ->
   (instance list * Peertrust_crypto.Cert.t list, Peertrust_net.Denial.t) result
-(** Server side (also used directly by the eager strategy with
-    [~allow_remote:false]): compute the releasable answer to a query.
-    [Error] names why nothing is releasable.  [remote] overrides the
-    network-backed remote dispatch — the queued engine ({!Reactor}) passes
-    a collector that records blocked sub-goals instead of recursing. *)
+(** Server side: compute the releasable answer to a query.  [Error]
+    names why nothing is releasable. *)
 
 val answer_stats :
-  ?allow_remote:bool ->
   ?remote:Sld.remote ->
   ?max_steps:int ->
   Session.t ->
@@ -74,7 +74,6 @@ val answer_stats :
     charges this count against the requester's guard quota. *)
 
 val evaluate :
-  ?allow_remote:bool ->
   ?remote:Sld.remote ->
   ?solutions:int ->
   ?requester:string ->
@@ -84,15 +83,13 @@ val evaluate :
   Sld.answer list
 (** Local evaluation (release policies {e not} enforced — this is the
     peer reasoning over its own knowledge), with remote dispatch through
-    the network unless [allow_remote] is [false]. *)
+    [remote]. *)
 
-val prover :
-  ?allow_remote:bool -> ?remote:Sld.remote -> Session.t -> Peer.t ->
-  Policy.prover
+val prover : ?remote:Sld.remote -> Session.t -> Peer.t -> Policy.prover
 (** The context prover backed by {!evaluate}. *)
 
 val releasable_certs :
-  ?allow_remote:bool ->
+  ?remote:Sld.remote ->
   Session.t ->
   Peer.t ->
   requester:string ->
@@ -105,6 +102,17 @@ val disclose :
 (** Push credentials to another peer (eager / push strategies). *)
 
 val learn :
-  ?from_:string -> Session.t -> Peer.t -> Peertrust_crypto.Cert.t list -> unit
+  ?from_:string -> Session.t -> Peer.t -> Peertrust_crypto.Cert.t list ->
+  Peertrust_crypto.Cert.t list
 (** Verify certificates (when the session demands it) and add the valid
-    ones to the peer's KB and certificate store, recording their origin. *)
+    ones to the peer's KB and certificate store, recording their origin.
+    Returns those the wallet did not hold before, in order. *)
+
+val receive :
+  Session.t -> Peer.t -> from:string -> ?instances:instance list ->
+  Peertrust_crypto.Cert.t list -> Peertrust_crypto.Cert.t list * Rule.t list
+(** The receipt step of every runtime: the certificates of an [Answer]
+    or [Disclosure] from peer [from] go through {!learn}, then each
+    ground answer instance [lit] becomes the fact [lit @ from].  Returns
+    exactly what was new, certificates then facts, for the reactor to
+    journal. *)

@@ -173,7 +173,7 @@ let check t st ~now ~solicited payload =
         | `Unknown -> Reject (Unsolicited (Literal.to_string goal))
         | `Resolved -> Stale (Literal.to_string goal)
         | `Outstanding -> Admit)
-    | Net.Message.Disclosure { certs; _ } -> (
+    | Net.Message.Disclosure { certs } -> (
         match bad_cert t certs with
         | Some which -> Reject (Bad_cert which)
         | None -> Admit)

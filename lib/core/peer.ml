@@ -37,18 +37,24 @@ let set_kb t kb =
 
 (* Deliberately does NOT notify the KB watchers: [add_rule] fires for
    every fact learned during a negotiation (the hot path), and learned
-   facts only ever grow the derivable set — cached answers stay sound. *)
-let add_rule t r = t.kb <- Kb.add r t.kb
+   facts only ever grow the derivable set — cached answers stay sound.
+   [Kb.add] returns the KB itself when the rule is already there. *)
+let add_rule t r =
+  let kb = t.kb in
+  t.kb <- Kb.add r kb;
+  t.kb != kb
 
 let add_cert ?origin t (c : Peertrust_crypto.Cert.t) =
   let key = Rule.canonical c.Peertrust_crypto.Cert.rule in
-  if not (Hashtbl.mem t.certs key) then Hashtbl.add t.certs key c;
+  let fresh = not (Hashtbl.mem t.certs key) in
+  if fresh then Hashtbl.add t.certs key c;
   Option.iter
     (fun o ->
       if not (Hashtbl.mem t.origins c.Peertrust_crypto.Cert.serial) then
         Hashtbl.add t.origins c.Peertrust_crypto.Cert.serial o)
     origin;
-  add_rule t c.Peertrust_crypto.Cert.rule
+  ignore (add_rule t c.Peertrust_crypto.Cert.rule);
+  fresh
 
 let cert_origin t (c : Peertrust_crypto.Cert.t) =
   Hashtbl.find_opt t.origins c.Peertrust_crypto.Cert.serial

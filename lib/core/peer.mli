@@ -46,10 +46,13 @@ val on_kb_update : t -> (unit -> unit) -> unit
     watchers: it runs on the negotiation hot path and only adds facts,
     which is a monotone (cache-sound) change. *)
 
-val add_rule : t -> Rule.t -> unit
-val add_cert : ?origin:string -> t -> Peertrust_crypto.Cert.t -> unit
-(** Store a certificate and add its rule to the KB.  [origin] records which
-    peer it was received from. *)
+val add_rule : t -> Rule.t -> bool
+(** Add a rule to the KB; [true] when it was not already there. *)
+
+val add_cert : ?origin:string -> t -> Peertrust_crypto.Cert.t -> bool
+(** Store a certificate and add its rule to the KB; [true] when the
+    wallet held no certificate for that rule before.  [origin] records
+    which peer it was received from. *)
 
 val cert_origin : t -> Peertrust_crypto.Cert.t -> string option
 

@@ -124,7 +124,9 @@ let load ?config ?seed ~dir () =
                       match Crypto.Wire.decode_many (read_file wallet_path) with
                       | exception Sys_error m -> Error (Bad_world m)
                       | Ok certs ->
-                          List.iter (Peer.add_cert peer) certs;
+                          List.iter
+                            (fun c -> ignore (Peer.add_cert peer c))
+                            certs;
                           Ok ()
                       | Error (Crypto.Wire.Malformed m) ->
                           Error
@@ -399,8 +401,8 @@ module Journal = struct
   let replay_peer peer entries =
     List.iter
       (function
-        | Cert c -> Peer.add_cert peer c
-        | Fact r -> Peer.add_rule peer r
+        | Cert c -> ignore (Peer.add_cert peer c)
+        | Fact r -> ignore (Peer.add_rule peer r)
         | Answer _ | Goal _ | Done _ -> ())
       entries
 end

@@ -1,6 +1,7 @@
 open Peertrust_dlp
+module Denial = Peertrust_net.Denial
 
-type decision = Granted | Denied of string
+type decision = Granted | Denied of Denial.t
 
 type prover = requester:string -> Literal.t list -> Sld.answer option
 
@@ -9,12 +10,12 @@ let releasable ~prover ~requester ~self ctx =
   | None ->
       (* Default context: Requester = Self. *)
       if String.equal requester self then Granted
-      else Denied "default context (Requester = Self)"
+      else Denied Denial.Release_unsatisfied
   | Some [] -> Granted
   | Some lits -> (
       match prover ~requester lits with
       | Some _ -> Granted
-      | None -> Denied "release context not satisfied")
+      | None -> Denied Denial.Release_unsatisfied)
 
 let rule_releasable ~prover ~requester ~self (r : Rule.t) =
   releasable ~prover ~requester ~self r.Rule.rule_ctx
@@ -58,9 +59,9 @@ let credential_releasable ~prover ~kb ~requester ~self (c : Rule.t) =
           candidates
       in
       if granted then Granted
-      else if candidates = [] then Denied "no release rule covers credential"
-      else Denied "release context not satisfied")
+      else if candidates = [] then Denied Denial.No_release_policy
+      else Denied Denial.Release_unsatisfied)
 
 let pp_decision fmt = function
   | Granted -> Format.pp_print_string fmt "granted"
-  | Denied reason -> Format.fprintf fmt "denied (%s)" reason
+  | Denied reason -> Format.fprintf fmt "denied (%s)" (Denial.to_string reason)

@@ -9,7 +9,9 @@
 
 open Peertrust_dlp
 
-type decision = Granted | Denied of string
+type decision = Granted | Denied of Peertrust_net.Denial.t
+(** [Release_unsatisfied] for an unprovable or the default context;
+    [No_release_policy] when no release rule covers a credential. *)
 
 type prover = requester:string -> Literal.t list -> Sld.answer option
 (** Proves a conjunction with [Requester]/[Self] bound; the negotiation

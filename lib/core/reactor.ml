@@ -694,23 +694,13 @@ let handle_query t st peer ~from goal =
           pk_seq = next_stamp t;
         }
 
-(* Learn inbound certificates, journalling each one the peer did not
-   already hold and that survived verification — checked against the
-   wallet before and after so replaying the journal can never learn a
-   certificate twice. *)
-let learn_certs t st (peer : Peer.t) ~from certs =
-  let ckey (c : Peertrust_crypto.Cert.t) =
-    Rule.canonical c.Peertrust_crypto.Cert.rule
-  in
-  let fresh =
-    List.filter (fun c -> not (Hashtbl.mem peer.Peer.certs (ckey c))) certs
-  in
-  Engine.learn ~from_:from t.session peer certs;
-  List.iter
-    (fun c ->
-      if Hashtbl.mem peer.Peer.certs (ckey c) then
-        jappend st (Persist.Journal.Cert c))
-    fresh
+(* Take an inbound answer or disclosure through the engine's receipt
+   step and journal exactly what it reports new, so replaying the
+   journal never learns a certificate or a says-fact twice. *)
+let receive t st peer ~from ?instances certs =
+  let certs, facts = Engine.receive t.session peer ~from ?instances certs in
+  List.iter (fun c -> jappend st (Persist.Journal.Cert c)) certs;
+  List.iter (fun r -> jappend st (Persist.Journal.Fact r)) facts
 
 let dispatch t ~synthetic (from, target, payload) =
   match Hashtbl.find_opt t.session.Session.peers target with
@@ -720,18 +710,7 @@ let dispatch t ~synthetic (from, target, payload) =
       match payload with
       | Net.Message.Query { goal } -> handle_query t st peer ~from goal
       | Net.Message.Answer { goal; instances; certs } ->
-          learn_certs t st peer ~from certs;
-          List.iter
-            (fun ((inst : Literal.t), _) ->
-              if Literal.is_ground inst then begin
-                let r =
-                  Rule.fact (Literal.push_authority inst (Term.str from))
-                in
-                if not (Kb.mem r peer.Peer.kb) then
-                  jappend st (Persist.Journal.Fact r);
-                Peer.add_rule peer r
-              end)
-            instances;
+          receive t st peer ~from ~instances certs;
           (* Fill the cache from answers that travelled the wire; replayed
              (synthetic) hits must not refresh their own TTL. *)
           (match t.config.cache with
@@ -747,8 +726,8 @@ let dispatch t ~synthetic (from, target, payload) =
           with_tabling t (fun tb ->
               Tabling.handle_deny tb ~consumer:target ~from goal reason);
           wake t st (`Sub (resolve t st ~target:from goal (Denied reason)))
-      | Net.Message.Disclosure { certs; _ } ->
-          learn_certs t st peer ~from certs;
+      | Net.Message.Disclosure { certs } ->
+          receive t st peer ~from certs;
           wake t st `All
       | Net.Message.Cancel { goal } ->
           (* The requester withdrew this goal (deadline expiry): drop

@@ -11,7 +11,8 @@
       posted for each blocked remote sub-goal (each distinct
       (peer, goal) is asked at most once per peer);
     - an incoming answer is verified and learned (certificates plus the
-      "peer says" facts), then every parked goal waiting on it is
+      "peer says" facts) by {!Engine.receive}, as in the synchronous
+      engine, then every parked goal waiting on it is
       re-evaluated from scratch over the grown knowledge base — the KB
       only grows, so re-evaluation is monotone;
     - a parked goal whose sub-queries are all resolved and which still has
@@ -89,7 +90,8 @@
     With {!config}[.journal] set, each peer also keeps a write-ahead
     journal ({!Persist.Journal}) of its durable facts — learned
     certificates, [peer says] facts, completed table answers, and the
-    root goals it has accepted.  The journal survives the crash (it
+    root goals it has accepted; certificates and says-facts exactly as
+    {!Engine.receive} reports them new.  The journal survives the crash (it
     stands in for a synced disk); at restart it is replayed — learning
     is idempotent, so replay never double-counts a certificate — and
     journalled root goals with no [Done] record are re-launched

@@ -50,7 +50,7 @@ let issue_signed_rules t peer =
       | Some _ -> ()
       | None -> (
           match Peertrust_crypto.Cert.issue t.keystore rule with
-          | Ok cert -> Peer.add_cert peer cert
+          | Ok cert -> ignore (Peer.add_cert peer cert)
           | Error _ -> ()))
     (Peertrust_dlp.Kb.signed_rules peer.Peer.kb)
 

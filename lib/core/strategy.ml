@@ -33,19 +33,25 @@ let run_eager_multi session ~participants ~requester ~target goal =
   then invalid_arg "Strategy.negotiate_multi: requester/target not listed";
   let peers = List.map (Session.peer session) participants in
   let net = session.Session.network in
+  let saved = List.map (fun p -> Net.Network.handler net p.Peer.name) peers in
   List.iter
     (fun p ->
       Net.Network.register net p.Peer.name
-        (Engine.handler ~allow_remote:false session p))
+        (Engine.handler ~remote:Sld.no_remote session p))
     peers;
   Fun.protect
-    ~finally:(fun () -> List.iter (Engine.attach session) peers)
+    ~finally:(fun () ->
+      List.iter2
+        (fun p -> function
+          | Some h -> Net.Network.register net p.Peer.name h
+          | None -> Net.Network.unregister net p.Peer.name)
+        peers saved)
     (fun () ->
       let r_peer = Session.peer session requester in
       let sent = Hashtbl.create 64 in
       let push from_peer to_name =
         let fresh =
-          Engine.releasable_certs ~allow_remote:false session from_peer
+          Engine.releasable_certs ~remote:Sld.no_remote session from_peer
             ~requester:to_name
           |> List.filter (fun (c : Peertrust_crypto.Cert.t) ->
                  not
@@ -84,7 +90,9 @@ let run_eager_multi session ~participants ~requester ~target goal =
                     (Net.Message.Query { goal })
                 with
                 | Net.Message.Answer { instances; certs; _ } ->
-                    Engine.learn ~from_:target session r_peer certs;
+                    ignore
+                      (Engine.receive session r_peer ~from:target ~instances
+                         certs);
                     `Done (Ok instances)
                 | Net.Message.Deny _ ->
                     if push_round () then `Retry
@@ -107,7 +115,7 @@ let negotiate_multi session ~participants ~requester ~target goal =
 let run_push_relevant session ~requester ~target goal =
   let r_peer = Session.peer session requester in
   let certs =
-    Engine.releasable_certs ~allow_remote:false session r_peer
+    Engine.releasable_certs ~remote:Sld.no_remote session r_peer
       ~requester:target
   in
   Engine.disclose session r_peer ~target certs;

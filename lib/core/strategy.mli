@@ -63,5 +63,7 @@ val negotiate_multi :
 
     {!Eager} is this loop with [~participants:[requester; target]].
     Every participant serves queries with {!Engine.handler}
-    [~allow_remote:false] for the duration of the call.  No caller
+    [~remote:Sld.no_remote] for the duration of the call; the handlers
+    registered before the call (e.g. {!Audit} wrappers or a {!Proxy}
+    device's forwarding handler) are put back afterwards.  No caller
     negotiates with [requester = target]; that case is not exercised. *)

@@ -17,7 +17,8 @@ val empty_linear : t
     predicate bucket.  Exists for the indexing ablation (bench E12). *)
 
 val add : Rule.t -> t -> t
-(** Add a rule.  Duplicates (structurally equal rules) are ignored. *)
+(** Add a rule.  Duplicates (structurally equal rules) are ignored:
+    [add r kb] is then [kb] itself. *)
 
 val add_list : Rule.t list -> t -> t
 val remove : Rule.t -> t -> t

@@ -54,6 +54,9 @@ type remote = target:string -> Literal.t -> (Literal.t * Trace.t option) list
     outermost authority has been popped); each returned instance may carry
     the remote proof. *)
 
+val no_remote : remote
+(** Answers nothing: evaluation stays local to the peer. *)
+
 val solve :
   ?options:options ->
   ?externals:externals ->

@@ -16,10 +16,7 @@ type payload =
       certs : Peertrust_crypto.Cert.t list;
     }
   | Deny of { goal : Literal.t; reason : Denial.t }
-  | Disclosure of {
-      certs : Peertrust_crypto.Cert.t list;
-      rules : Rule.t list;
-    }
+  | Disclosure of { certs : Peertrust_crypto.Cert.t list }
   | Ack
   | Raw of string
   | Tquery of { goal : Literal.t; path : table_ref list }
@@ -45,7 +42,6 @@ let cert_size (c : Peertrust_crypto.Cert.t) =
   + 16
 
 let literal_size l = String.length (Literal.to_string l)
-let rule_size r = String.length (Rule.to_string r)
 
 let size = function
   | Query { goal } -> 8 + literal_size goal
@@ -59,10 +55,8 @@ let size = function
       + List.fold_left (fun acc c -> acc + cert_size c) 0 certs
   | Deny { goal; reason } ->
       8 + literal_size goal + String.length (Denial.to_string reason)
-  | Disclosure { certs; rules } ->
-      8
-      + List.fold_left (fun acc c -> acc + cert_size c) 0 certs
-      + List.fold_left (fun acc r -> acc + rule_size r) 0 rules
+  | Disclosure { certs } ->
+      8 + List.fold_left (fun acc c -> acc + cert_size c) 0 certs
   | Ack -> 8
   | Raw s -> 8 + String.length s
   | Tquery { goal; path } -> 8 + literal_size goal + (List.length path * 12)
@@ -81,7 +75,7 @@ let size = function
 let cert_count = function
   | Query _ | Deny _ | Ack | Raw _ | Cancel _ -> 0
   | Tquery _ | Tanswer _ | Tprobe _ | Tstat _ | Tcomplete _ -> 0
-  | Answer { certs; _ } | Disclosure { certs; _ } -> List.length certs
+  | Answer { certs; _ } | Disclosure { certs } -> List.length certs
 
 let summary = function
   | Query { goal } -> Printf.sprintf "query %s" (Literal.to_string goal)
@@ -91,9 +85,8 @@ let summary = function
   | Deny { goal; reason } ->
       Printf.sprintf "deny %s (%s)" (Literal.to_string goal)
         (Denial.to_string reason)
-  | Disclosure { certs; rules } ->
-      Printf.sprintf "disclose %d cert(s), %d rule(s)" (List.length certs)
-        (List.length rules)
+  | Disclosure { certs } ->
+      Printf.sprintf "disclose %d cert(s), 0 rule(s)" (List.length certs)
   | Ack -> "ack"
   | Raw s -> Printf.sprintf "raw %d byte(s)" (String.length s)
   | Tquery { goal; path } ->

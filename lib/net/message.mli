@@ -33,10 +33,12 @@ type payload =
     }
   | Deny of { goal : Literal.t; reason : Denial.t }
       (** refusal: no answer, or release policy not satisfied *)
-  | Disclosure of {
-      certs : Peertrust_crypto.Cert.t list;
-      rules : Rule.t list;
-    }  (** unsolicited push of unlocked resources (eager strategy) *)
+  | Disclosure of { certs : Peertrust_crypto.Cert.t list }
+      (** unsolicited push of unlocked credentials (eager and
+          push-relevant strategies); the receiver verifies and learns
+          them exactly as it learns an [Answer]'s certificates.  Only
+          certificates are ever pushed: an unsigned rule carries no
+          authority of its own. *)
   | Ack
   | Raw of string
       (** an uninterpreted byte string — honest peers never send one; the

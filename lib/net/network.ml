@@ -88,6 +88,7 @@ let clock t = t.clock
 let stats t = t.stats
 let register t name handler = Hashtbl.replace t.peers name handler
 let unregister t name = Hashtbl.remove t.peers name
+let handler t name = Hashtbl.find_opt t.peers name
 
 let registered t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.peers []

@@ -43,6 +43,7 @@ val register : t -> string -> handler -> unit
 (** Re-registering a name replaces its handler. *)
 
 val unregister : t -> string -> unit
+val handler : t -> string -> handler option
 val registered : t -> string list
 val set_down : t -> string -> bool -> unit
 val is_down : t -> string -> bool

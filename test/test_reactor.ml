@@ -594,7 +594,7 @@ let test_cache_watch_peer () =
   Answer_cache.store c ~now:0 ~asker:"req" ~owner:"owner" (lit "f(X)")
     (dummy_answer "f(1)");
   (* Learning a fact mid-negotiation is monotone and must NOT flush. *)
-  Peer.add_rule owner (Parser.parse_rule "g(2).");
+  ignore (Peer.add_rule owner (Parser.parse_rule "g(2)."));
   Alcotest.(check bool) "add_rule keeps cached answers" true
     (find_some c ~now:1 ~asker:"req" ~owner:"owner" "f(X)");
   (* Replacing the KB is a real update and must flush. *)
@@ -1522,6 +1522,72 @@ let test_journal_dir_cross_process_resume () =
     "re-learning after replay added nothing" learned
     (wallet_serials session2 "E-Learn")
 
+(* Journals pinned byte for byte.  Scenario 1 and scenario 2's free and
+   paid goals run queued with disk journals, fault-free and under one
+   fixed fault seed; every peer's journal must equal the file under
+   [journal_pins/<run>/], and the checkpoint count the figure below: the
+   reactor journals exactly the certificates and says-facts that were
+   new to the peer, once each, in receipt order. *)
+let journal_pin_runs =
+  let s1 () =
+    let s = Scenario.scenario1 ~key_bits:288 () in
+    (s.Scenario.s1_session, "Alice", "E-Learn", Scenario.scenario1_goal ())
+  in
+  let s2 goal () =
+    let s = Scenario.scenario2 ~key_bits:288 () in
+    (s.Scenario.s2_session, "Bob", "E-Learn", goal ())
+  in
+  let free = s2 Scenario.scenario2_goal_free
+  and paid = s2 Scenario.scenario2_goal_paid in
+  [
+    ("s1", s1, false, 8);
+    ("s1_faulted", s1, true, 8);
+    ("s2_free", free, false, 7);
+    ("s2_free_faulted", free, true, 7);
+    ("s2_paid", paid, false, 9);
+    ("s2_paid_faulted", paid, true, 9);
+  ]
+
+let test_journal_pins () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let files dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  List.iter
+    (fun (name, world, faulted, checkpoints) ->
+      with_temp_dir @@ fun dir ->
+      let session, requester, target, goal = world () in
+      if faulted then
+        Net.Network.set_faults session.Session.network
+          (Net.Faults.create ~drop:0.15 ~duplicate:0.1 ~delay:0.2 ~seed:7L ());
+      Pobs.Obs.reset_metrics ();
+      let config =
+        {
+          Reactor.default_config with
+          Reactor.journal = Reactor.Journal_dir dir;
+        }
+      in
+      let reactor = Reactor.create ~config session in
+      ignore (Reactor.submit reactor ~requester ~target goal);
+      ignore (Reactor.run reactor);
+      let pin = Filename.concat "journal_pins" name in
+      Alcotest.(check (list string))
+        (name ^ ": journal files") (files pin) (files dir);
+      List.iter
+        (fun f ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s" name f)
+            (read (Filename.concat pin f))
+            (read (Filename.concat dir f)))
+        (files pin);
+      let count = Pobs.Registry.counter_value (Pobs.Obs.snapshot ()) in
+      Alcotest.(check int)
+        (name ^ ": reactor.checkpoints") checkpoints
+        (count "reactor.checkpoints");
+      Alcotest.(check bool)
+        (name ^ ": faults struck")
+        faulted
+        (count "net.drops" + count "net.duplicates" + count "net.delayed" > 0))
+    journal_pin_runs
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "reactor"
@@ -1617,5 +1683,6 @@ let () =
             test_deadline_withdrawal_wakes_sharers;
           tc "cross-process journal resume"
             test_journal_dir_cross_process_resume;
+          tc "journals pinned byte for byte" test_journal_pins;
         ] );
     ]

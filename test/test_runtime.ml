@@ -202,6 +202,29 @@ let test_audit_chronological_and_filtered () =
     (List.length entries)
     (List.length (Audit.grants audit) + List.length (Audit.denials audit))
 
+(* The eager strategy swaps in its own handlers for the call; afterwards
+   the auditing wrappers must be back, so the next relevant negotiation
+   is still logged. *)
+let test_audit_survives_eager () =
+  let s = Scenario.scenario1 ~key_bits:288 () in
+  let session = s.Scenario.s1_session in
+  let audit = Audit.create () in
+  Audit.attach audit session;
+  let relevant () =
+    ignore
+      (Negotiation.request session ~requester:s.Scenario.s1_alice
+         ~target:s.Scenario.s1_elearn (Scenario.scenario1_goal ()))
+  in
+  relevant ();
+  ignore
+    (Strategy.negotiate session ~strategy:Strategy.Eager
+       ~requester:s.Scenario.s1_alice ~target:s.Scenario.s1_elearn
+       (Scenario.scenario1_goal ()));
+  let before = List.length (Audit.entries audit) in
+  relevant ();
+  Alcotest.(check bool) "relevant run after eager is audited" true
+    (List.length (Audit.entries audit) > before)
+
 (* ------------------------------------------------------------------ *)
 (* World persistence *)
 
@@ -372,6 +395,7 @@ let () =
           tc "records decisions" test_audit_records_decisions;
           tc "records credentials" test_audit_credentials_recorded;
           tc "chronological and filtered" test_audit_chronological_and_filtered;
+          tc "survives an eager run" test_audit_survives_eager;
         ] );
       ( "persist",
         [
